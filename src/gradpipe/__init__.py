@@ -11,7 +11,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
 from .compression import Codec, CompressedBlock, compress, decompress, wire_size
-from .data import Dataset, sample_minibatch, synthetic_blobs
+from .data import Dataset, synthetic_blobs
 from .engine import (
     MODE_D_SYNC,
     MODE_PIPE_SGD,
@@ -53,7 +53,6 @@ __all__ = [
     "decompress",
     "wire_size",
     "Dataset",
-    "sample_minibatch",
     "synthetic_blobs",
     "MODE_D_SYNC",
     "MODE_PIPE_SGD",

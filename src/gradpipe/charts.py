@@ -24,7 +24,6 @@ PALETTE = [
 STACK_COLORS = {
     "update": "#9467bd",
     "compute": "#1f77b4",
-    "compress": "#2ca02c",
     "communicate": "#d62728",
     "idle": "#c7c7c7",
 }
@@ -179,13 +178,10 @@ def breakdown_chart(reports, out_path: str | Path) -> None:
     """Stacked per-stage bar per run, seconds per iteration."""
     if not reports:
         raise ConfigError("no breakdown rows to chart")
-    stages = ["update", "compute", "compress", "communicate", "idle"]
+    stages = ["update", "compute", "communicate", "idle"]
     left, right = MARGIN_L, WIDTH - MARGIN_R
     top, bottom = MARGIN_T, HEIGHT - MARGIN_B
-    totals = [
-        r.update_s + r.compute_s + r.compress_s + r.communicate_s + r.idle_s
-        for r in reports
-    ]
+    totals = [r.update_s + r.compute_s + r.communicate_s + r.idle_s for r in reports]
     y0, y1 = 0.0, padded_bounds([0.0, *totals])[1]
 
     parts = _svg_header("per-iteration stage breakdown")
@@ -198,7 +194,6 @@ def breakdown_chart(reports, out_path: str | Path) -> None:
         values = {
             "update": report.update_s,
             "compute": report.compute_s,
-            "compress": report.compress_s,
             "communicate": report.communicate_s,
             "idle": report.idle_s,
         }

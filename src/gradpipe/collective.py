@@ -1,5 +1,8 @@
 """Collectives over a point-to-point transport.
 
+Callers pass and receive plain float32 vectors; the codec is applied
+here, to every vector that goes on the wire, and nowhere else.
+
 Ring AllReduce runs (p-1) "transmit-and-reduce" steps (reduce-scatter)
 followed by (p-1) allgather steps; every rank sends exactly 2(p-1)
 block messages. Under a lossy codec each reduce-scatter hop receives a
@@ -8,16 +11,12 @@ with a freshly computed scale before forwarding. The allgather phase
 forwards the fully reduced compressed blocks verbatim, so all ranks
 decode byte-identical payloads and return bit-identical results.
 
-The pipelined variant computes exactly the same arithmetic in exactly
-the same order; only the receive side runs ahead on a helper thread so
-block transfer overlaps the decompress/add/recompress work of the
-previous block.
+The parameter-server gather encodes each worker's whole vector once
+under the codec; the root adds the decoded vectors in rank order.
+Broadcast always sends raw float32, so replicas stay bit-identical.
 """
 
 from __future__ import annotations
-
-import queue
-import threading
 
 import numpy as np
 
@@ -74,16 +73,26 @@ def _check_rank_args(local: np.ndarray, rank: int, p: int, endpoint: Endpoint) -
         raise CollectiveError("collectives operate on 1-D vectors")
 
 
-def _ring_allreduce_impl(
+def ring_allreduce(
     local: np.ndarray,
     rank: int,
     p: int,
     endpoint: Endpoint,
-    codec: Codec,
-    iteration: int,
-    recv_fn,
+    codec: Codec = Codec.NONE,
+    iteration: int = 0,
 ) -> np.ndarray:
+    """Elementwise sum of all ranks' vectors, identical on every rank."""
+    _check_rank_args(local, rank, p, endpoint)
+    if p == 1:
+        return np.array(local, dtype=np.float32, copy=True)
     succ, pred = (rank + 1) % p, (rank - 1) % p
+
+    def recv(context: str) -> Message:
+        try:
+            return endpoint.recv(pred)
+        except TransportError as err:
+            raise CollectiveError(f"{context}: {err}") from err
+
     blocks = partition_blocks(local.size, p)
     acc = np.array(local, dtype=np.float32, copy=True)
 
@@ -103,7 +112,7 @@ def _ring_allreduce_impl(
             iteration,
             send_idx,
         )
-        msg = recv_fn(f"reduce-scatter step {step} (rank {rank} <- {pred})")
+        msg = recv(f"reduce-scatter step {step} (rank {rank} <- {pred})")
         _expect(msg, MSG_DATA, iteration, recv_idx, f"reduce-scatter step {step}")
         incoming = decompress(deserialize_block(msg.payload))
         if incoming.size != blocks[recv_idx][1]:
@@ -126,7 +135,7 @@ def _ring_allreduce_impl(
         send_idx = (rank + 1 - step) % p
         recv_idx = (rank - step) % p
         endpoint.send(succ, wire, MSG_DATA, iteration, send_idx)
-        msg = recv_fn(f"allgather step {step} (rank {rank} <- {pred})")
+        msg = recv(f"allgather step {step} (rank {rank} <- {pred})")
         _expect(msg, MSG_DATA, iteration, recv_idx, f"allgather step {step}")
         wire = msg.payload
         incoming = decompress(deserialize_block(wire))
@@ -140,94 +149,27 @@ def _ring_allreduce_impl(
     return out
 
 
-def ring_allreduce(
-    local: np.ndarray,
-    rank: int,
-    p: int,
-    endpoint: Endpoint,
-    codec: Codec = Codec.NONE,
-    iteration: int = 0,
-) -> np.ndarray:
-    """Elementwise sum of all ranks' vectors, identical on every rank."""
-    _check_rank_args(local, rank, p, endpoint)
-    if p == 1:
-        return np.array(local, dtype=np.float32, copy=True)
-    pred = (rank - 1) % p
-
-    def recv_fn(context: str) -> Message:
-        try:
-            return endpoint.recv(pred)
-        except TransportError as err:
-            raise CollectiveError(f"{context}: {err}") from err
-
-    return _ring_allreduce_impl(local, rank, p, endpoint, codec, iteration, recv_fn)
-
-
-def pipelined_allreduce(
-    local: np.ndarray,
-    rank: int,
-    p: int,
-    endpoint: Endpoint,
-    codec: Codec = Codec.NONE,
-    iteration: int = 0,
-) -> np.ndarray:
-    """ring_allreduce with receive-ahead: transfers overlap codec work.
-
-    Bit-identical to ring_allreduce for every codec; only scheduling
-    differs. A helper thread issues the 2(p-1) receives in order while
-    the caller's thread does the sends and the per-block reduction.
-    """
-    _check_rank_args(local, rank, p, endpoint)
-    if p == 1:
-        return np.array(local, dtype=np.float32, copy=True)
-    pred = (rank - 1) % p
-    inbox: queue.Queue = queue.Queue()
-    stop = threading.Event()
-
-    def prefetch() -> None:
-        for _ in range(2 * (p - 1)):
-            if stop.is_set():
-                return
-            try:
-                inbox.put(endpoint.recv(pred))
-            except TransportError as err:
-                inbox.put(err)
-                return
-
-    thread = threading.Thread(target=prefetch, name=f"allreduce-rx-{rank}", daemon=True)
-    thread.start()
-
-    def recv_fn(context: str) -> Message:
-        item = inbox.get(timeout=endpoint.timeout_s)
-        if isinstance(item, TransportError):
-            raise CollectiveError(f"{context}: {item}") from item
-        return item
-
-    try:
-        return _ring_allreduce_impl(
-            local, rank, p, endpoint, codec, iteration, recv_fn
-        )
-    finally:
-        stop.set()
-        thread.join(timeout=endpoint.timeout_s)
-
-
 def gather_to_root(
     local: np.ndarray,
     root: int,
     rank: int,
     p: int,
     endpoint: Endpoint,
+    codec: Codec = Codec.NONE,
     iteration: int = 0,
 ) -> np.ndarray | None:
-    """Root returns the elementwise sum of all inputs; others return None."""
+    """Root returns the elementwise sum of all inputs; others return None.
+
+    Each non-root vector travels encoded under `codec`; the root's own
+    vector never leaves it and is summed as is.
+    """
     _check_rank_args(local, rank, p, endpoint)
     if p == 1:
         return np.array(local, dtype=np.float32, copy=True)
     if rank != root:
         endpoint.send(
             root,
-            serialize_block(compress(local, Codec.NONE)),
+            serialize_block(compress(local, codec)),
             MSG_DATA,
             iteration,
             0,

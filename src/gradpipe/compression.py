@@ -1,4 +1,9 @@
-"""Lossy gradient codecs applied per block inside collectives.
+"""Lossy gradient codecs, applied only on the wire.
+
+The collectives encode every vector they send and decode every vector
+they receive; the engine and the models only ever see float32 vectors.
+Ring AllReduce encodes per block at each hop, the parameter-server
+gather encodes each worker's whole vector once.
 
 Three codecs:
 

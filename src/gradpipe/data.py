@@ -43,17 +43,6 @@ class Dataset:
         return np.arange(rank % num_shards, self.num_samples, num_shards)
 
 
-def sample_minibatch(
-    dataset: Dataset, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw `size` sample indices without replacement."""
-    if not 1 <= size <= dataset.num_samples:
-        raise ConfigError(
-            f"batch size {size} out of range [1, {dataset.num_samples}]"
-        )
-    return rng.choice(dataset.num_samples, size=size, replace=False)
-
-
 def sample_from_shard(
     shard: np.ndarray, size: int, rng: np.random.Generator
 ) -> np.ndarray:

@@ -4,17 +4,22 @@ parameter-server training over a pluggable transport.
 Modes:
 
 * ``d_sync``   — one thread per worker; each iteration updates with the
-  previous iteration's aggregated gradient, then computes, encodes, and
+  previous iteration's aggregated gradient, then computes and
   ring-allreduces its local gradient.
 * ``pipe_sgd`` — two threads per worker. The compute thread consumes the
   aggregated gradient of iteration t-K out of a depth-K slot buffer
   (slots for iterations <= 0 pre-filled with zeros and marked ready),
-  updates, computes and encodes the local gradient, and flags it ready;
-  the communication thread waits for the flag, ring-allreduces, and
-  flags the aggregated slot ready. Updates therefore run exactly K
-  iterations behind the gradients they consume.
+  updates, computes the local gradient, and flags it ready; the
+  communication thread waits for the flag, ring-allreduces, and flags
+  the aggregated slot ready. Updates therefore run exactly K iterations
+  behind the gradients they consume.
 * ``ps_sync``  — workers send gradients to a dedicated server endpoint
   (rank p), which updates the parameters and broadcasts them back.
+
+Gradients stay plain float32 vectors from ``backward_grad`` to
+``sgd_update``; the configured codec runs only on the wire, inside the
+collectives, so every mode applies exactly the sum the collective
+returns.
 
 All modes divide the aggregated gradient sum by the worker count before
 applying it, so the effective step uses the mean over the global batch
@@ -32,17 +37,17 @@ outgoing-traffic counters.
 
 from __future__ import annotations
 
-import struct
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collective import barrier, broadcast_from_root, gather_to_root, ring_allreduce
-from .compression import Codec, CompressedBlock, compress, decompress
+from .compression import Codec
+# Unused here; kept importable because bench/spans.py patches these names.
+from .compression import compress, decompress  # noqa: F401
 from .data import Dataset, sample_from_shard
 from .errors import ConfigError, EngineError
 from .models import ModelSpec, backward_grad, forward_loss, init_params, sgd_update
@@ -56,15 +61,9 @@ MODES = (MODE_PS_SYNC, MODE_D_SYNC, MODE_PIPE_SGD)
 STAGE_UPDATE = "update"
 STAGE_FORWARD = "forward"
 STAGE_BACKWARD = "backward"
-STAGE_COMPRESS = "compress"
 STAGE_ALLREDUCE = "allreduce"
-STAGE_DECOMPRESS = "decompress"
 STAGE_BARRIER = "barrier"
 STAGE_IDLE = "idle"
-
-CHECKPOINT_MAGIC = b"PSGD"
-CHECKPOINT_VERSION = 1
-_CHECKPOINT_HEADER = struct.Struct("<4sIQ")  # magic, version, length
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,6 @@ class RunConfig:
     warmup_epochs: int = 0
     eval_interval: int = 0
     seed: int = 0
-    lr_decay_every: int = 0
-    lr_decay_factor: float = 1.0
     snapshot_first: int = 0  # keep copies of params after the first N updates
 
     def __post_init__(self) -> None:
@@ -147,22 +144,22 @@ class _LocalGradientMailbox:
 
     def __init__(self, capacity: int, timeout_s: float):
         self._cond = threading.Condition()
-        self._items: list[tuple[int, CompressedBlock]] = []
+        self._items: list[tuple[int, np.ndarray]] = []
         self._capacity = max(1, capacity)
         self._poison: BaseException | None = None
         self._timeout = timeout_s
 
-    def put(self, tag: int, block: CompressedBlock) -> None:
+    def put(self, tag: int, grad: np.ndarray) -> None:
         with self._cond:
             while len(self._items) >= self._capacity and self._poison is None:
                 if not self._cond.wait(timeout=self._timeout):
                     raise EngineError(f"timed out handing off local gradient {tag}")
             if self._poison is not None:
                 raise EngineError("peer thread failed") from self._poison
-            self._items.append((tag, block))
+            self._items.append((tag, grad))
             self._cond.notify_all()
 
-    def take(self, expected_tag: int) -> CompressedBlock:
+    def take(self, expected_tag: int) -> np.ndarray:
         with self._cond:
             while not self._items and self._poison is None:
                 if not self._cond.wait(timeout=self._timeout):
@@ -171,13 +168,13 @@ class _LocalGradientMailbox:
                     )
             if self._poison is not None:
                 raise EngineError("peer thread failed") from self._poison
-            tag, block = self._items.pop(0)
+            tag, grad = self._items.pop(0)
             if tag != expected_tag:
                 raise EngineError(
                     f"mailbox holds gradient {tag}, expected {expected_tag}"
                 )
             self._cond.notify_all()
-            return block
+            return grad
 
     def poison(self, err: BaseException) -> None:
         with self._cond:
@@ -196,11 +193,11 @@ class GradientBuffer:
     def __init__(self, depth: int, timeout_s: float):
         self.depth = depth
         self._cond = threading.Condition()
-        self._slots: list[tuple[int, CompressedBlock] | None] = [None] * depth
+        self._slots: list[tuple[int, np.ndarray] | None] = [None] * depth
         self._poison: BaseException | None = None
         self._timeout = timeout_s
 
-    def put(self, tag: int, block: CompressedBlock) -> None:
+    def put(self, tag: int, total: np.ndarray) -> None:
         idx = tag % self.depth
         with self._cond:
             if self._slots[idx] is not None:
@@ -208,10 +205,10 @@ class GradientBuffer:
                     f"aggregated-gradient slot for iteration {tag} written twice "
                     f"(still holds iteration {self._slots[idx][0]})"
                 )
-            self._slots[idx] = (tag, block)
+            self._slots[idx] = (tag, total)
             self._cond.notify_all()
 
-    def take(self, tag: int) -> CompressedBlock:
+    def take(self, tag: int) -> np.ndarray:
         idx = tag % self.depth
         with self._cond:
             while self._slots[idx] is None and self._poison is None:
@@ -221,13 +218,13 @@ class GradientBuffer:
                     )
             if self._poison is not None:
                 raise EngineError("peer thread failed") from self._poison
-            slot_tag, block = self._slots[idx]
+            slot_tag, total = self._slots[idx]
             if slot_tag != tag:
                 raise EngineError(
                     f"slot {idx} holds iteration {slot_tag}, expected {tag}"
                 )
             self._slots[idx] = None
-            return block
+            return total
 
     def poison(self, err: BaseException) -> None:
         with self._cond:
@@ -284,13 +281,6 @@ class _Worker:
     def _rec(self, into, stage, t0, t1, iteration, consumed=None) -> None:
         into.append(TraceEvent(self.rank, iteration, stage, t0, t1, consumed))
 
-    def _lr(self, iteration: int) -> float:
-        cfg = self.config
-        if cfg.lr_decay_every <= 0:
-            return cfg.learning_rate
-        steps = (iteration - 1) // cfg.lr_decay_every
-        return cfg.learning_rate * (cfg.lr_decay_factor**steps)
-
     def _batch(self, iteration: int) -> np.ndarray:
         if self.batch_provider is not None:
             return self.batch_provider(self.rank, iteration)
@@ -300,10 +290,8 @@ class _Worker:
         return max(1, len(self.shard) // self.config.batch_size)
 
     def _apply_update(self, total: np.ndarray, tag: int, iteration: int) -> None:
-        lr = self._lr(iteration)
-        self.params = sgd_update(
-            self.params, aggregate_mean(total, self.workers), lr
-        )
+        mean = aggregate_mean(total, self.workers)
+        self.params = sgd_update(self.params, mean, self.config.learning_rate)
         self._after_update(iteration)
 
     def _after_update(self, iteration: int) -> None:
@@ -320,8 +308,8 @@ class _Worker:
         wall_ms = (time.monotonic_ns() - self._run_start_ns) / 1e6
         self.metrics.append((iteration, wall_ms, loss))
 
-    def _compute_local(self, iteration: int) -> tuple[float, CompressedBlock]:
-        """forward + backward + compress, with trace events."""
+    def _compute_local(self, iteration: int) -> tuple[float, np.ndarray]:
+        """forward + backward, with trace events."""
         t0 = self._now()
         batch = self._batch(iteration)
         loss = forward_loss(self.params, self.model, self.dataset, batch)
@@ -330,10 +318,7 @@ class _Worker:
         grad = backward_grad(self.params, self.model, self.dataset, batch)
         t2 = self._now()
         self._rec(self.trace, STAGE_BACKWARD, t1, t2, iteration)
-        block = compress(grad, self.config.codec)
-        t3 = self._now()
-        self._rec(self.trace, STAGE_COMPRESS, t2, t3, iteration)
-        return loss, block
+        return loss, grad
 
     # -- synchronous loop (d_sync, and pipe_sgd warm-up) -------------------
 
@@ -349,10 +334,10 @@ class _Worker:
             if pending is not None:
                 self._apply_update(pending, pending_tag, t)
             self._rec(self.trace, STAGE_UPDATE, t0, self._now(), t, pending_tag)
-            loss, block = self._compute_local(t)
+            loss, grad = self._compute_local(t)
             a0 = self._now()
             summed = ring_allreduce(
-                decompress(block),
+                grad,
                 self.rank,
                 self.world,
                 self.endpoint,
@@ -379,13 +364,11 @@ class _Worker:
     def _pipe_phase(self, t_start: int, t_end: int) -> None:
         cfg = self.config
         depth = cfg.depth
-        zero_block = compress(
-            np.zeros(self.model.num_params, dtype=np.float32), cfg.codec
-        )
+        zeros = np.zeros(self.model.num_params, dtype=np.float32)
         buffer = GradientBuffer(depth, self.endpoint.timeout_s + 5.0)
         mailbox = _LocalGradientMailbox(depth - 1, self.endpoint.timeout_s + 5.0)
         for tag in range(t_start - depth, t_start):
-            buffer.put(tag, zero_block)
+            buffer.put(tag, zeros)
 
         comm_err: list[BaseException] = []
 
@@ -393,20 +376,19 @@ class _Worker:
             try:
                 for t in range(t_start, t_end + 1):
                     i0 = self._now()
-                    block = mailbox.take(t)
+                    grad = mailbox.take(t)
                     i1 = self._now()
                     self._rec(self._comm_trace, STAGE_IDLE, i0, i1, t)
                     summed = ring_allreduce(
-                        decompress(block),
+                        grad,
                         self.rank,
                         self.world,
                         self.endpoint,
                         cfg.codec,
                         iteration=t,
                     )
-                    aggregated = compress(summed, cfg.codec)
                     self._rec(self._comm_trace, STAGE_ALLREDUCE, i1, self._now(), t)
-                    buffer.put(t, aggregated)
+                    buffer.put(t, summed)
             except BaseException as err:  # propagate into the compute thread
                 comm_err.append(err)
                 buffer.poison(err)
@@ -417,23 +399,18 @@ class _Worker:
         try:
             for t in range(t_start, t_end + 1):
                 w0 = self._now()
-                block = buffer.take(t - depth)
+                total = buffer.take(t - depth)
                 w1 = self._now()
                 self._rec(self.trace, STAGE_IDLE, w0, w1, t)
-                total = decompress(block)
-                w2 = self._now()
-                self._rec(self.trace, STAGE_DECOMPRESS, w1, w2, t)
                 self._apply_update(total, t - depth, t)
-                self._rec(self.trace, STAGE_UPDATE, w2, self._now(), t, t - depth)
-                loss, local = self._compute_local(t)
-                mailbox.put(t, local)
+                self._rec(self.trace, STAGE_UPDATE, w1, self._now(), t, t - depth)
+                loss, grad = self._compute_local(t)
+                mailbox.put(t, grad)
                 self._record_metrics(t, loss)
                 self._maybe_eval_snapshot(t)
             # Drain: consume the K aggregated gradients still in flight.
             for tag in range(t_end - depth + 1, t_end + 1):
-                d0 = self._now()
-                block = buffer.take(tag)
-                total = decompress(block)
+                total = buffer.take(tag)
                 d1 = self._now()
                 self._apply_update(total, tag, tag + depth)
                 self._rec(self.trace, STAGE_UPDATE, d1, self._now(), tag + depth, tag)
@@ -508,10 +485,10 @@ class _Worker:
         self._rec(self.trace, STAGE_BARRIER, b0, self._now(), 0)
         self._run_start_ns = time.monotonic_ns()
         for t in range(1, cfg.iterations + 1):
-            loss, block = self._compute_local(t)
+            loss, grad = self._compute_local(t)
             a0 = self._now()
             gather_to_root(
-                decompress(block), server, self.rank, self.world, self.endpoint,
+                grad, server, self.rank, self.world, self.endpoint, cfg.codec,
                 iteration=t,
             )
             self.params = broadcast_from_root(
@@ -534,12 +511,13 @@ class _Worker:
         for t in range(1, cfg.iterations + 1):
             a0 = self._now()
             total = gather_to_root(
-                zeros, server, self.rank, self.world, self.endpoint, iteration=t
+                zeros, server, self.rank, self.world, self.endpoint, cfg.codec,
+                iteration=t,
             )
             a1 = self._now()
             self._rec(self.trace, STAGE_ALLREDUCE, a0, a1, t)
             self.params = sgd_update(
-                self.params, aggregate_mean(total, self.workers), self._lr(t)
+                self.params, aggregate_mean(total, self.workers), cfg.learning_rate
             )
             u1 = self._now()
             self._rec(self.trace, STAGE_UPDATE, a1, u1, t, t)
@@ -644,27 +622,3 @@ def run_tcp_worker(
         return _entry(worker)
     finally:
         endpoint.close()
-
-
-def save_checkpoint(path: str | Path, params: np.ndarray) -> None:
-    """Flat float32 little-endian vector behind a 16-byte header."""
-    data = np.ascontiguousarray(params, dtype="<f4")
-    header = _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, data.size)
-    Path(path).write_bytes(header + data.tobytes())
-
-
-def load_checkpoint(path: str | Path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    if len(buf) < _CHECKPOINT_HEADER.size:
-        raise ConfigError(f"{path}: truncated checkpoint header")
-    magic, version, length = _CHECKPOINT_HEADER.unpack_from(buf)
-    if magic != CHECKPOINT_MAGIC:
-        raise ConfigError(f"{path}: bad checkpoint magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    payload = np.frombuffer(buf, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
-    if payload.size != length:
-        raise ConfigError(
-            f"{path}: checkpoint holds {payload.size} values, header says {length}"
-        )
-    return payload.astype(np.float32)

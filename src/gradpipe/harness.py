@@ -37,8 +37,6 @@ from .engine import (
     RunConfig,
     STAGE_ALLREDUCE,
     STAGE_BACKWARD,
-    STAGE_COMPRESS,
-    STAGE_DECOMPRESS,
     STAGE_FORWARD,
     STAGE_IDLE,
     STAGE_UPDATE,
@@ -82,7 +80,7 @@ DATASET_MNIST = "mnist"
 
 METRICS_HEADER = "iteration,wall_clock_ms,train_loss,eval_accuracy"
 BREAKDOWN_HEADER = (
-    "mode,workers,iterations,depth,codec,update,compute,compress,"
+    "mode,workers,iterations,depth,codec,update,compute,"
     "communicate,idle,iteration_wall,final_accuracy"
 )
 TRACE_HEADER = "rank,iteration,stage,start_ns,end_ns,consumed_tag"
@@ -266,7 +264,6 @@ class BreakdownReport:
     codec: str
     update_s: float
     compute_s: float
-    compress_s: float
     communicate_s: float
     idle_s: float
     iteration_wall_s: float
@@ -275,8 +272,8 @@ class BreakdownReport:
     def csv_row(self) -> str:
         return (
             f"{self.mode},{self.workers},{self.iterations},{self.depth},{self.codec},"
-            f"{self.update_s:.9f},{self.compute_s:.9f},{self.compress_s:.9f},"
-            f"{self.communicate_s:.9f},{self.idle_s:.9f},{self.iteration_wall_s:.9f},"
+            f"{self.update_s:.9f},{self.compute_s:.9f},{self.communicate_s:.9f},"
+            f"{self.idle_s:.9f},{self.iteration_wall_s:.9f},"
             f"{self.final_accuracy:.4f}"
         )
 
@@ -292,9 +289,8 @@ def parse_breakdown_csv(text: str) -> list[BreakdownReport]:
             BreakdownReport(
                 mode=f[0], workers=int(f[1]), iterations=int(f[2]), depth=int(f[3]),
                 codec=f[4], update_s=float(f[5]), compute_s=float(f[6]),
-                compress_s=float(f[7]), communicate_s=float(f[8]),
-                idle_s=float(f[9]), iteration_wall_s=float(f[10]),
-                final_accuracy=float(f[11]),
+                communicate_s=float(f[7]), idle_s=float(f[8]),
+                iteration_wall_s=float(f[9]), final_accuracy=float(f[10]),
             )
         )
     return reports
@@ -304,8 +300,6 @@ _BUCKETS = {
     STAGE_UPDATE: "update",
     STAGE_FORWARD: "compute",
     STAGE_BACKWARD: "compute",
-    STAGE_COMPRESS: "compress",
-    STAGE_DECOMPRESS: "compress",
     STAGE_ALLREDUCE: "communicate",
     STAGE_IDLE: "idle",
 }
@@ -317,7 +311,7 @@ def breakdown_from_trace(
     wall_seconds: float,
     final_accuracy: float,
 ) -> BreakdownReport:
-    totals = {"update": 0, "compute": 0, "compress": 0, "communicate": 0, "idle": 0}
+    totals = {"update": 0, "compute": 0, "communicate": 0, "idle": 0}
     for event in trace:
         bucket = _BUCKETS.get(event.stage)
         if bucket is not None:
@@ -331,7 +325,6 @@ def breakdown_from_trace(
         codec=config.codec.name.lower(),
         update_s=totals["update"] / 1e9 / t,
         compute_s=totals["compute"] / 1e9 / t,
-        compress_s=totals["compress"] / 1e9 / t,
         communicate_s=totals["communicate"] / 1e9 / t,
         idle_s=totals["idle"] / 1e9 / t,
         iteration_wall_s=wall_seconds / t,

@@ -84,16 +84,6 @@ class ClusterParams:
                 raise ConfigError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    depth: int = 2  # iteration dependency K; staleness is depth - 1
-    iterations: int = 1
-
-    def __post_init__(self) -> None:
-        if self.depth < 1 or self.iterations < 1:
-            raise ConfigError("pipeline depth and iteration count must be >= 1")
-
-
 def t_sync_total(iterations: int, stages: StageTimes) -> float:
     """Synchronous training: every stage on the critical path, every iteration."""
     return iterations * (stages.update + stages.compute + stages.comm)

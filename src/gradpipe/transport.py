@@ -32,7 +32,6 @@ from .errors import ConfigError, TransportError
 
 MSG_DATA = 0
 MSG_BARRIER = 1
-MSG_CONTROL = 2
 
 FRAME_HEADER = struct.Struct("<IBIH")
 _FRAME_TAIL = struct.Struct("<BIH")  # msg_type, iteration, block_index
@@ -94,10 +93,6 @@ class Endpoint:
         delay = self.latency_s + len(payload) * self.byte_time_s
         if delay > 0:
             time.sleep(delay)
-
-    def reset_stats(self) -> None:
-        with self._stats_lock:
-            self.stats = TrafficStats()
 
     # subclasses implement send / recv / close
     def send(
@@ -172,9 +167,6 @@ class InProcTransport:
 
     def endpoint(self, rank: int) -> InProcEndpoint:
         return self._endpoints[rank]
-
-    def endpoints(self) -> list[InProcEndpoint]:
-        return list(self._endpoints)
 
 
 def _recv_exact(sock: socket.socket, n: int, who: str) -> bytes:
@@ -280,6 +272,11 @@ class TcpEndpoint(Endpoint):
             try:
                 head = _recv_exact(sock, FRAME_HEADER.size, f"rank {self.rank}")
                 length, msg_type, iteration, block_index = FRAME_HEADER.unpack(head)
+                if length < _FRAME_TAIL.size:
+                    raise TransportError(
+                        f"rank {self.rank}: frame from rank {src} declares length "
+                        f"{length}, shorter than its {_FRAME_TAIL.size}-byte header"
+                    )
                 payload = _recv_exact(
                     sock, length - _FRAME_TAIL.size, f"rank {self.rank}"
                 )

@@ -9,7 +9,6 @@ from gradpipe.data import (
     load_idx_images,
     load_idx_labels,
     sample_from_shard,
-    sample_minibatch,
     synthetic_blobs,
 )
 from gradpipe.errors import ConfigError
@@ -94,32 +93,34 @@ class TestSyntheticBlobs:
 class TestSampling:
     def test_full_draw_is_permutation(self):
         ds = synthetic_blobs(dim=4, num_classes=2, num_samples=50, seed=0)
-        batch = sample_minibatch(ds, 50, np.random.default_rng(0))
+        batch = sample_from_shard(ds.shard(0, 1), 50, np.random.default_rng(0))
         assert sorted(batch) == list(range(50))
 
     def test_same_state_same_batch(self):
         ds = synthetic_blobs(dim=4, num_classes=2, num_samples=100, seed=0)
-        a = sample_minibatch(ds, 10, np.random.default_rng(42))
-        b = sample_minibatch(ds, 10, np.random.default_rng(42))
+        shard = ds.shard(0, 1)
+        a = sample_from_shard(shard, 10, np.random.default_rng(42))
+        b = sample_from_shard(shard, 10, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
         ds = synthetic_blobs(dim=4, num_classes=2, num_samples=10_000, seed=0)
-        a = sample_minibatch(ds, 64, np.random.default_rng(1))
-        b = sample_minibatch(ds, 64, np.random.default_rng(2))
+        shard = ds.shard(0, 1)
+        a = sample_from_shard(shard, 64, np.random.default_rng(1))
+        b = sample_from_shard(shard, 64, np.random.default_rng(2))
         assert not np.array_equal(a, b)
 
     def test_size_bounds(self):
         ds = synthetic_blobs(dim=4, num_classes=2, num_samples=10, seed=0)
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            sample_minibatch(ds, 0, rng)
+            sample_from_shard(ds.shard(0, 1), 0, rng)
         with pytest.raises(ConfigError):
-            sample_minibatch(ds, 11, rng)
+            sample_from_shard(ds.shard(0, 1), 11, rng)
 
     def test_no_replacement(self):
         ds = synthetic_blobs(dim=4, num_classes=2, num_samples=30, seed=0)
-        batch = sample_minibatch(ds, 30, np.random.default_rng(9))
+        batch = sample_from_shard(ds.shard(0, 1), 30, np.random.default_rng(9))
         assert len(set(batch.tolist())) == 30
 
     def test_shards_partition_dataset(self):

@@ -1,9 +1,11 @@
-import threading
 
 import numpy as np
 import pytest
 
-from gradpipe.compression import Codec, compress
+from helpers import run_ranks
+
+from gradpipe.collective import gather_to_root, ring_allreduce
+from gradpipe.compression import Codec
 from gradpipe.data import sample_from_shard, synthetic_blobs
 from gradpipe.engine import (
     GradientBuffer,
@@ -13,13 +15,10 @@ from gradpipe.engine import (
     RunConfig,
     aggregate_mean,
     effective_mode,
-    load_checkpoint,
     run_inproc_cluster,
-    save_checkpoint,
 )
 from gradpipe.errors import ConfigError, EngineError
 from gradpipe.models import backward_grad, logistic_model, init_params, sgd_update
-from gradpipe.transport import InProcTransport
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +166,58 @@ class TestPsSync:
         assert np.array_equal(result.params, w)
 
 
+class TestAppliedGradient:
+    """Every mode applies exactly the sum its collective returns for the
+    local gradients: the codec runs on the wire and nowhere else."""
+
+    @pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.name.lower())
+    @pytest.mark.parametrize("mode", [MODE_D_SYNC, MODE_PIPE_SGD, MODE_PS_SYNC])
+    def test_params_match_collective_oracle(self, small_problem, mode, codec):
+        data, model = small_problem
+        p, depth, T, lr = 3, 2, 3, 0.3  # T = K + 1: one in-loop pipelined update
+        batches = {
+            (r, t): np.random.default_rng([r, t]).choice(data.num_samples, 16, False)
+            for r in range(p)
+            for t in range(1, T + 1)
+        }
+        cfg = RunConfig(
+            mode=mode, iterations=T, learning_rate=lr, codec=codec, depth=depth,
+            batch_size=16, seed=4,
+        )
+        results = run_inproc_cluster(
+            p, cfg, data, model, batch_provider=lambda r, t: batches[(r, t)]
+        )
+
+        def aggregated(w, t):
+            grads = [backward_grad(w, model, data, batches[(r, t)]) for r in range(p)]
+            if mode != MODE_PS_SYNC:
+                return run_ranks(
+                    p, lambda r, ep: ring_allreduce(grads[r], r, p, ep, codec, t)
+                )[0]
+            grads.append(np.zeros(model.num_params, np.float32))  # the server
+            return run_ranks(
+                p + 1,
+                lambda r, ep: gather_to_root(grads[r], p, r, p + 1, ep, codec, t),
+            )[p]
+
+        def step(w, total):
+            return sgd_update(w, aggregate_mean(total, p), lr)
+
+        w = init_params(model, cfg.seed)
+        lag = depth if mode == MODE_PIPE_SGD else 0
+        totals = {t: np.zeros(model.num_params, np.float32) for t in range(1 - lag, 1)}
+        for t in range(1, T + 1):
+            if lag:
+                w = step(w, totals.pop(t - lag))
+            totals[t] = aggregated(w, t)
+            if not lag:
+                w = step(w, totals.pop(t))
+        for t in sorted(totals):  # drain
+            w = step(w, totals[t])
+        for r in results:
+            assert np.array_equal(r.params, w)
+
+
 class TestAggregateSemantics:
     def test_identity_and_mean_of_equals(self):
         g = np.array([2.0, -4.0], np.float32)
@@ -312,7 +363,7 @@ class TestTraceIntegrity:
         data, model = small_problem
         cfg = RunConfig(mode=MODE_PIPE_SGD, iterations=10, batch_size=16, seed=2)
         result = run_inproc_cluster(2, cfg, data, model)[0]
-        compute_stages = {"decompress", "update", "forward", "backward", "compress"}
+        compute_stages = {"update", "forward", "backward"}
         events = [e for e in result.trace if e.stage in compute_stages]
         for a, b in zip(events, events[1:]):
             assert a.end_ns <= b.start_ns + 1  # same thread, never overlapping
@@ -320,52 +371,20 @@ class TestTraceIntegrity:
             assert e.end_ns >= e.start_ns
 
 
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        params = np.random.default_rng(0).normal(0, 1, 333).astype(np.float32)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        assert np.array_equal(load_checkpoint(path), params)
-
-    def test_header_layout(self, tmp_path):
-        params = np.arange(4, dtype=np.float32)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        raw = path.read_bytes()
-        assert raw[:4] == b"PSGD"
-        assert int.from_bytes(raw[4:8], "little") == 1
-        assert int.from_bytes(raw[8:16], "little") == 4
-        assert len(raw) == 16 + 16
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(ConfigError, match="magic"):
-            load_checkpoint(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        params = np.arange(8, dtype=np.float32)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ConfigError):
-            load_checkpoint(path)
-
-
 class TestGuards:
     def test_gradient_buffer_double_write_is_fatal(self):
         buf = GradientBuffer(2, timeout_s=1)
-        block = compress(np.zeros(3, np.float32), Codec.NONE)
-        buf.put(1, block)
+        total = np.zeros(3, np.float32)
+        buf.put(1, total)
         with pytest.raises(EngineError, match="twice"):
-            buf.put(3, block)  # same slot as 1 mod 2
+            buf.put(3, total)  # same slot as 1 mod 2
 
     def test_gradient_buffer_take_clears(self):
         buf = GradientBuffer(2, timeout_s=1)
-        block = compress(np.zeros(3, np.float32), Codec.NONE)
-        buf.put(4, block)
-        assert buf.take(4) is block
-        buf.put(6, block)  # slot reusable after take
+        total = np.zeros(3, np.float32)
+        buf.put(4, total)
+        assert buf.take(4) is total
+        buf.put(6, total)  # slot reusable after take
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

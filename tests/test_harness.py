@@ -142,7 +142,7 @@ class TestRunExperiment:
     def test_breakdown_accounts_for_thread_busy_time(self):
         result = run_experiment(tiny_config(iterations=30))
         b = result.breakdown
-        busy = b.update_s + b.compute_s + b.compress_s + b.communicate_s + b.idle_s
+        busy = b.update_s + b.compute_s + b.communicate_s + b.idle_s
         # d_sync is single-threaded: per-iteration stage sums track the
         # wall within jitter + loop bookkeeping.
         assert busy <= b.iteration_wall_s * 1.10 + 1e-4
@@ -205,7 +205,7 @@ class TestComparePrediction:
         predicted = predict_iteration_time("d_sync", 1, 100, stages, cluster)
         report = BreakdownReport(
             mode="d_sync", workers=4, iterations=100, depth=1, codec="none",
-            update_s=0, compute_s=0, compress_s=0, communicate_s=0, idle_s=0,
+            update_s=0, compute_s=0, communicate_s=0, idle_s=0,
             iteration_wall_s=predicted, final_accuracy=0.9,
         )
         rows = compare_prediction([report], stages, cluster)
@@ -226,7 +226,7 @@ class TestComparePrediction:
         predicted = predict_iteration_time("d_sync", 1, 100, stages, cluster)
         report = BreakdownReport(
             mode="d_sync", workers=4, iterations=100, depth=1, codec="none",
-            update_s=0, compute_s=0, compress_s=0, communicate_s=0, idle_s=0,
+            update_s=0, compute_s=0, communicate_s=0, idle_s=0,
             iteration_wall_s=predicted * 1.4, final_accuracy=0.9,
         )
         rows = compare_prediction([report], stages, cluster)
@@ -236,7 +236,7 @@ class TestComparePrediction:
         stages, cluster = self.make_pair()
         report = BreakdownReport(
             mode="d_sync", workers=2, iterations=10, depth=1, codec="none",
-            update_s=0, compute_s=0, compress_s=0, communicate_s=0, idle_s=0,
+            update_s=0, compute_s=0, communicate_s=0, idle_s=0,
             iteration_wall_s=1.0, final_accuracy=0.5,
         )
         with pytest.raises(ConfigError):
@@ -373,7 +373,7 @@ class TestCli:
 
         row = BreakdownReport(
             mode="d_sync", workers=2, iterations=100, depth=1, codec="none",
-            update_s=0, compute_s=0, compress_s=0, communicate_s=0, idle_s=0,
+            update_s=0, compute_s=0, communicate_s=0, idle_s=0,
             iteration_wall_s=good, final_accuracy=1.0,
         )
         breakdown.write_text(BREAKDOWN_HEADER + "\n" + row.csv_row() + "\n")

@@ -6,7 +6,6 @@ from gradpipe.timing import (
     COMM_BOUND,
     COMPUTE_BOUND,
     ClusterParams,
-    PipelineConfig,
     SEGMENTED,
     SEQUENTIAL,
     StageTimes,
@@ -270,11 +269,6 @@ class TestValidation:
     def test_first_segment_cannot_exceed_backward(self):
         with pytest.raises(ConfigError):
             StageTimes(backward=0.5, first_segment_backward=0.6)
-
-    def test_pipeline_config(self):
-        assert PipelineConfig(depth=2, iterations=10).depth == 2
-        with pytest.raises(ConfigError):
-            PipelineConfig(depth=0, iterations=10)
 
     def test_star_time_grows_with_cluster(self):
         times = [

@@ -14,6 +14,14 @@ decode byte-identical payloads and return bit-identical results.
 The parameter-server gather encodes each worker's whole vector once
 under the codec; the root adds the decoded vectors in rank order.
 Broadcast always sends raw float32, so replicas stay bit-identical.
+
+A hop copies as little as it can: a block is encoded straight into the
+buffer that goes on the wire, received payloads are memoryviews of the
+receive buffer, and under codec none a decoded block is a view of that
+buffer too. Such views are only ever added into, or copied into, an
+array the collective owns. Every array a collective returns owns its
+writeable memory and shares none with any wire buffer, so a caller may
+modify it freely.
 """
 
 from __future__ import annotations
@@ -219,7 +227,7 @@ def broadcast_from_root(
     except TransportError as err:
         raise CollectiveError(f"broadcast: waiting for root {root}: {err}") from err
     _expect(msg, MSG_DATA, iteration, 0, "broadcast")
-    return decompress(deserialize_block(msg.payload))
+    return decompress(deserialize_block(msg.payload)).copy()
 
 
 def barrier(rank: int, p: int, endpoint: Endpoint, generation: int = 0) -> None:

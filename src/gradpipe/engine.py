@@ -289,7 +289,7 @@ class _Worker:
     def iterations_per_epoch(self) -> int:
         return max(1, len(self.shard) // self.config.batch_size)
 
-    def _apply_update(self, total: np.ndarray, tag: int, iteration: int) -> None:
+    def _apply_update(self, total: np.ndarray, iteration: int) -> None:
         mean = aggregate_mean(total, self.workers)
         self.params = sgd_update(self.params, mean, self.config.learning_rate)
         self._after_update(iteration)
@@ -332,7 +332,7 @@ class _Worker:
         for t in range(t_start, t_end + 1):
             t0 = self._now()
             if pending is not None:
-                self._apply_update(pending, pending_tag, t)
+                self._apply_update(pending, t)
             self._rec(self.trace, STAGE_UPDATE, t0, self._now(), t, pending_tag)
             loss, grad = self._compute_local(t)
             a0 = self._now()
@@ -354,7 +354,7 @@ class _Worker:
         if pending is None:
             return
         t0 = self._now()
-        self._apply_update(pending, pending_tag, pending_tag + 1)
+        self._apply_update(pending, pending_tag + 1)
         self._rec(
             self.trace, STAGE_UPDATE, t0, self._now(), pending_tag + 1, pending_tag
         )
@@ -402,7 +402,7 @@ class _Worker:
                 total = buffer.take(t - depth)
                 w1 = self._now()
                 self._rec(self.trace, STAGE_IDLE, w0, w1, t)
-                self._apply_update(total, t - depth, t)
+                self._apply_update(total, t)
                 self._rec(self.trace, STAGE_UPDATE, w1, self._now(), t, t - depth)
                 loss, grad = self._compute_local(t)
                 mailbox.put(t, grad)
@@ -412,7 +412,7 @@ class _Worker:
             for tag in range(t_end - depth + 1, t_end + 1):
                 total = buffer.take(tag)
                 d1 = self._now()
-                self._apply_update(total, tag, tag + depth)
+                self._apply_update(total, tag + depth)
                 self._rec(self.trace, STAGE_UPDATE, d1, self._now(), tag + depth, tag)
         except BaseException as err:
             mailbox.poison(err)

@@ -13,9 +13,12 @@ payload bytes (excluding the 9-byte block header), and framed bytes.
 
 TCP wire frame (little-endian):
 u32 frame_length | u8 msg_type | u32 iteration | u16 block_index | payload
-where frame_length counts everything after itself. Rank r listens on the
-roster's r-th host:port; each rank dials every lower rank, so the full
-mesh exists before any collective starts.
+where frame_length counts everything after itself and may not exceed
+MAX_FRAME_BYTES. A frame goes out as one `sendmsg` of the header and the
+caller's payload buffer, and comes in through `recv_into` a buffer of
+the declared size, so neither side copies the payload. Rank r listens
+on the roster's r-th host:port; each rank dials every lower rank, so
+the full mesh exists before any collective starts.
 """
 
 from __future__ import annotations
@@ -36,8 +39,14 @@ MSG_BARRIER = 1
 FRAME_HEADER = struct.Struct("<IBIH")
 _FRAME_TAIL = struct.Struct("<BIH")  # msg_type, iteration, block_index
 
+# Upper bound on frame_length: a corrupt length field must not make the
+# receiver allocate up to 4 GiB.
+MAX_FRAME_BYTES = 1 << 30
+
 DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_CONNECT_TIMEOUT_S = 30.0
+
+Buffer = bytes | bytearray | memoryview
 
 
 @dataclass
@@ -45,7 +54,7 @@ class Message:
     msg_type: int
     iteration: int
     block_index: int
-    payload: bytes
+    payload: Buffer
 
 
 @dataclass
@@ -81,7 +90,7 @@ class Endpoint:
         self.stats = TrafficStats()
         self._stats_lock = threading.Lock()
 
-    def _count_send(self, msg_type: int, payload: bytes) -> None:
+    def _count_send(self, msg_type: int, payload: Buffer) -> None:
         if msg_type != MSG_DATA:
             return
         with self._stats_lock:
@@ -89,14 +98,14 @@ class Endpoint:
             self.stats.payload_bytes += max(0, len(payload) - HEADER_BYTES)
             self.stats.frame_bytes += FRAME_HEADER.size + len(payload)
 
-    def _injected_delay(self, payload: bytes) -> None:
+    def _injected_delay(self, payload: Buffer) -> None:
         delay = self.latency_s + len(payload) * self.byte_time_s
         if delay > 0:
             time.sleep(delay)
 
     # subclasses implement send / recv / close
     def send(
-        self, dst: int, payload: bytes, msg_type: int = MSG_DATA,
+        self, dst: int, payload: Buffer, msg_type: int = MSG_DATA,
         iteration: int = 0, block_index: int = 0,
     ) -> None:
         raise NotImplementedError
@@ -169,16 +178,25 @@ class InProcTransport:
         return self._endpoints[rank]
 
 
-def _recv_exact(sock: socket.socket, n: int, who: str) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
+def _recv_exact(sock: socket.socket, n: int, who: str) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        count = sock.recv_into(view[got:])
+        if not count:
             raise TransportError(f"{who}: connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        got += count
+    return buf
+
+
+def _send_parts(sock: socket.socket, head: bytes, payload: Buffer) -> None:
+    sent = sock.sendmsg([head, payload])
+    if sent < len(head):  # the kernel took less than the header
+        sock.sendall(head[sent:])
+        sent = len(head)
+    if sent - len(head) < len(payload):
+        sock.sendall(memoryview(payload)[sent - len(head) :])
 
 
 class TcpEndpoint(Endpoint):
@@ -186,7 +204,9 @@ class TcpEndpoint(Endpoint):
 
     Connection setup: listen on roster[rank], dial every lower rank, and
     accept from every higher rank; a 4-byte rank handshake identifies
-    each inbound peer.
+    each inbound peer. A peer that claims a rank outside the higher ranks,
+    or one already connected, fails the set-up, and a failed set-up closes
+    every socket it opened.
     """
 
     def __init__(
@@ -204,35 +224,54 @@ class TcpEndpoint(Endpoint):
         self._socks: dict[int, socket.socket] = {}
         self._send_locks: dict[int, threading.Lock] = {}
         self._recv_locks: dict[int, threading.Lock] = {}
+        self._listener: socket.socket | None = None
         if self.world_size == 1:
-            self._listener = None
             return
 
-        host, port = roster[rank]
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(self.world_size)
-        listener.settimeout(connect_timeout_s)
-        self._listener = listener
+        try:
+            self._connect_mesh(roster, connect_timeout_s)
+        except BaseException:
+            self.close()
+            raise
+        for peer, sock in self._socks.items():
+            self._send_locks[peer] = threading.Lock()
+            self._recv_locks[peer] = threading.Lock()
+            sock.settimeout(self.timeout_s)
+
+    def _connect_mesh(
+        self, roster: list[tuple[str, int]], connect_timeout_s: float
+    ) -> None:
+        rank = self.rank
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind(roster[rank])
+        self._listener.listen(self.world_size)
+        self._listener.settimeout(connect_timeout_s)
 
         deadline = time.monotonic() + connect_timeout_s
         for peer in range(rank):
             self._socks[peer] = self._dial(roster[peer], deadline)
         for _ in range(rank + 1, self.world_size):
             try:
-                conn, _ = listener.accept()
+                conn, _ = self._listener.accept()
             except socket.timeout:
                 raise TransportError(
                     f"rank {rank}: timed out accepting mesh connections"
                 ) from None
-            (peer,) = struct.unpack("<I", _recv_exact(conn, 4, f"rank {rank}"))
+            try:
+                conn.settimeout(connect_timeout_s)
+                (peer,) = struct.unpack("<I", _recv_exact(conn, 4, f"rank {rank}"))
+            except (OSError, TransportError) as err:
+                conn.close()
+                raise TransportError(f"rank {rank}: reading a peer's rank: {err}") from err
+            if not rank < peer < self.world_size or peer in self._socks:
+                conn.close()
+                raise TransportError(
+                    f"rank {rank}: inbound peer claims rank {peer}; expected "
+                    f"an unconnected rank in ({rank}, {self.world_size})"
+                )
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._socks[peer] = conn
-        for peer, sock in self._socks.items():
-            self._send_locks[peer] = threading.Lock()
-            self._recv_locks[peer] = threading.Lock()
-            sock.settimeout(self.timeout_s)
 
     def _dial(self, addr: tuple[str, int], deadline: float) -> socket.socket:
         last_err: Exception | None = None
@@ -252,13 +291,13 @@ class TcpEndpoint(Endpoint):
     def send(self, dst, payload, msg_type=MSG_DATA, iteration=0, block_index=0):
         if dst == self.rank or dst not in self._socks:
             raise TransportError(f"rank {self.rank}: bad destination {dst}")
-        frame = FRAME_HEADER.pack(
+        head = FRAME_HEADER.pack(
             _FRAME_TAIL.size + len(payload), msg_type, iteration, block_index
-        ) + payload
+        )
         self._count_send(msg_type, payload)
         with self._send_locks[dst]:
             try:
-                self._socks[dst].sendall(frame)
+                _send_parts(self._socks[dst], head, payload)
             except OSError as err:
                 raise TransportError(f"rank {self.rank}: send to {dst}: {err}") from err
 
@@ -276,6 +315,11 @@ class TcpEndpoint(Endpoint):
                     raise TransportError(
                         f"rank {self.rank}: frame from rank {src} declares length "
                         f"{length}, shorter than its {_FRAME_TAIL.size}-byte header"
+                    )
+                if length > MAX_FRAME_BYTES:
+                    raise TransportError(
+                        f"rank {self.rank}: frame from rank {src} declares length "
+                        f"{length}, above the {MAX_FRAME_BYTES}-byte limit"
                     )
                 payload = _recv_exact(
                     sock, length - _FRAME_TAIL.size, f"rank {self.rank}"

@@ -1,3 +1,4 @@
+import contextlib
 import socket
 import struct
 import threading
@@ -15,43 +16,18 @@ from gradpipe.collective import (
 )
 from gradpipe.compression import Codec, compress, decompress, payload_size
 from gradpipe.errors import CollectiveError, TransportError
-from gradpipe.transport import FRAME_HEADER, InProcTransport, TcpEndpoint
-
-RTOL = 1e-6
-
-
-def run_ranks(p, fn, latency_s=0.0, byte_time_s=0.0, timeout_s=10.0):
-    """Run fn(rank, endpoint) on p threads; re-raise the first failure."""
-    transport = InProcTransport(p, latency_s, byte_time_s, timeout_s)
-    results = [None] * p
-    errors = []
-
-    def runner(rank):
-        try:
-            results[rank] = fn(rank, transport.endpoint(rank))
-        except BaseException as err:
-            errors.append(err)
-
-    threads = [threading.Thread(target=runner, args=(r,)) for r in range(p)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    if errors:
-        raise errors[0]
-    return results
+from gradpipe.transport import (
+    FRAME_HEADER,
+    MAX_FRAME_BYTES,
+    InProcTransport,
+    TcpEndpoint,
+)
+from helpers import assert_sum_close, run_ranks
 
 
 def random_inputs(p, n, seed):
     rng = np.random.default_rng(seed)
     return [rng.normal(0, 1, n).astype(np.float32) for _ in range(p)]
-
-
-def assert_sum_close(out, want):
-    # 1e-6 relative, with the float32-reassociation floor scaled to the
-    # sum's magnitude so exact-zero crossings do not blow up the ratio.
-    atol = 1e-6 * max(1.0, float(np.abs(want).max()))
-    np.testing.assert_allclose(out, want, rtol=RTOL, atol=atol)
 
 
 class TestPartition:
@@ -316,6 +292,17 @@ class TestTcpTransport:
         for out in run_tcp_ranks(3, op):
             assert np.array_equal(out, value)
 
+    def test_frame_larger_than_socket_buffer_over_tcp(self):
+        # 8 MB outgrows the kernel's send buffer, so sendmsg returns short
+        # and the rest of the frame must still follow it.
+        value = np.random.default_rng(13).normal(0, 1, 2_000_000).astype(np.float32)
+        outs = run_tcp_ranks(
+            2,
+            lambda r, ep: broadcast_from_root(value if r == 0 else None, 0, r, 2, ep),
+        )
+        for out in outs:
+            assert out.tobytes() == value.tobytes()
+
     def test_message_accounting_over_tcp(self):
         p, n = 2, 64
 
@@ -328,32 +315,113 @@ class TestTcpTransport:
             assert s.payload_bytes == 2 * (p - 1) * payload_size(Codec.NONE, n // p)
 
     def test_short_frame_length_rejected(self):
-        # A raw peer completes the rank handshake, then sends a frame whose
-        # length field cannot even cover the fields that follow it.
-        roster = [("127.0.0.1", port) for port in _free_ports(2)]
-
-        def raw_peer():
-            deadline = time.monotonic() + 10
-            while True:
-                try:
-                    sock = socket.create_connection(roster[0], timeout=2)
-                    break
-                except OSError:
-                    if time.monotonic() > deadline:
-                        raise
-                    time.sleep(0.02)
-            with sock:
-                sock.sendall(struct.pack("<I", 1))
-                sock.sendall(FRAME_HEADER.pack(3, 0, 0, 0))
-                sock.recv(1)  # hold the connection until rank 0 closes it
-
-        peer = threading.Thread(target=raw_peer)
-        peer.start()
-        endpoint = TcpEndpoint(0, roster, timeout_s=5)
-        try:
+        # The length field cannot even cover the fields that follow it.
+        with _endpoint_facing_raw_peer(FRAME_HEADER.pack(3, 0, 0, 0)) as endpoint:
             with pytest.raises(TransportError, match="rank 0.*rank 1.*length 3"):
                 endpoint.recv(1)
-        finally:
-            endpoint.close()
-        peer.join(timeout=10)
-        assert not peer.is_alive()
+
+    def test_oversized_frame_length_rejected(self):
+        # A corrupt length must fail before anything of that size is allocated.
+        length = MAX_FRAME_BYTES + 1
+        with _endpoint_facing_raw_peer(FRAME_HEADER.pack(length, 0, 0, 0)) as endpoint:
+            with pytest.raises(TransportError, match=f"rank 0.*rank 1.*length {length}"):
+                endpoint.recv(1)
+
+    @pytest.mark.parametrize(
+        "claims", [[7], [0], [1, 1]], ids=["out-of-range", "own-rank", "duplicate"]
+    )
+    def test_bad_inbound_peer_rejected(self, claims):
+        roster = [("127.0.0.1", port) for port in _free_ports(3)]
+        peers = [
+            threading.Thread(target=_raw_peer, args=(roster[0], struct.pack("<I", c)))
+            for c in claims
+        ]
+        for peer in peers:
+            peer.start()
+        with pytest.raises(TransportError, match=f"rank 0: inbound peer claims rank {claims[-1]}"):
+            TcpEndpoint(0, roster, timeout_s=5, connect_timeout_s=10)
+        for peer in peers:
+            peer.join(timeout=10)
+            assert not peer.is_alive()
+
+
+def _raw_peer(addr, data):
+    """Connect to addr, send data, and hold the connection until it closes."""
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            sock = socket.create_connection(addr, timeout=5)
+            break
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.02)
+    with sock:
+        sock.sendall(data)
+        try:
+            sock.recv(1)
+        except OSError:
+            pass
+
+
+@contextlib.contextmanager
+def _endpoint_facing_raw_peer(frame):
+    """Rank 0 of a 2-rank mesh whose rank 1 is a raw socket that completes
+    the rank handshake and then sends `frame`."""
+    roster = [("127.0.0.1", port) for port in _free_ports(2)]
+    peer = threading.Thread(
+        target=_raw_peer, args=(roster[0], struct.pack("<I", 1) + frame)
+    )
+    peer.start()
+    endpoint = TcpEndpoint(0, roster, timeout_s=5)
+    try:
+        yield endpoint
+    finally:
+        endpoint.close()
+    peer.join(timeout=10)
+    assert not peer.is_alive()
+
+
+def _record_wire(endpoint):
+    """Keep every payload the endpoint sends or receives."""
+    wires = []
+    send, recv = endpoint.send, endpoint.recv
+
+    def recording_send(dst, payload, *args, **kwargs):
+        wires.append(payload)
+        return send(dst, payload, *args, **kwargs)
+
+    def recording_recv(src, *args, **kwargs):
+        msg = recv(src, *args, **kwargs)
+        wires.append(msg.payload)
+        return msg
+
+    endpoint.send, endpoint.recv = recording_send, recording_recv
+    return wires
+
+
+class TestOwnedResults:
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.name.lower())
+    def test_results_own_writeable_memory(self, codec, transport):
+        p, n = 3, 301
+        inputs = random_inputs(p, n, seed=12)
+
+        def op(rank, ep):
+            wires = _record_wire(ep)
+            outs = [
+                ring_allreduce(inputs[rank], rank, p, ep, codec),
+                gather_to_root(inputs[rank], 0, rank, p, ep, codec),
+                broadcast_from_root(inputs[0] if rank == 0 else None, 0, rank, p, ep),
+            ]
+            return [out for out in outs if out is not None], wires
+
+        run = run_ranks if transport == "inproc" else run_tcp_ranks
+        results = run(p, op)
+        everything = [np.frombuffer(w, np.uint8) for _, wires in results for w in wires]
+        everything += inputs
+        for outs, _ in results:
+            for out in outs:
+                assert out.flags.writeable
+                for other in everything:
+                    assert not np.shares_memory(out, other)

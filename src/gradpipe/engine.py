@@ -3,16 +3,17 @@ parameter-server training over a pluggable transport.
 
 Modes:
 
-* ``d_sync``   — one thread per worker; each iteration updates with the
-  previous iteration's aggregated gradient, then computes and
-  ring-allreduces its local gradient.
-* ``pipe_sgd`` — two threads per worker. The compute thread consumes the
-  aggregated gradient of iteration t-K out of a depth-K slot buffer
+* ``pipe_sgd`` — iteration dependency K >= 2. The compute thread consumes
+  the aggregated gradient of iteration t-K out of a depth-K slot buffer
   (slots for iterations <= 0 pre-filled with zeros and marked ready),
   updates, computes the local gradient, and flags it ready; the
   communication thread waits for the flag, ring-allreduces, and flags
   the aggregated slot ready. Updates therefore run exactly K iterations
   behind the gradients they consume.
+* ``d_sync``   — the same loop at K=1: each iteration updates with the
+  previous iteration's aggregated gradient. With nothing to overlap, the
+  compute thread runs each exchange itself right after handing off its
+  gradient, and no communication thread starts.
 * ``ps_sync``  — workers send gradients to a dedicated server endpoint
   (rank p), which updates the parameters and broadcasts them back.
 
@@ -26,8 +27,8 @@ applying it, so the effective step uses the mean over the global batch
 and the learning rate keeps its single-node meaning. After the last
 iteration every in-flight aggregated gradient is drained into the
 parameters exactly once, so a run applies exactly T gradients in every
-mode. An optional warm-up runs the first few epochs synchronously, then
-drains and switches to the pipelined loop with a freshly zero-primed
+mode. An optional warm-up runs the first few epochs as a depth-1 phase,
+drains it, and continues with a depth-K phase on a freshly zero-primed
 buffer.
 
 Each worker produces a trace of (rank, iteration, stage, start_ns,
@@ -87,7 +88,6 @@ class RunConfig:
     warmup_epochs: int = 0
     eval_interval: int = 0
     seed: int = 0
-    snapshot_first: int = 0  # keep copies of params after the first N updates
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -111,7 +111,6 @@ class WorkerResult:
     trace: list[TraceEvent]
     metrics: list[tuple[int, float, float]]  # (iteration, wall_ms, train_loss)
     eval_points: list[tuple[int, np.ndarray]]
-    early_params: list[tuple[int, np.ndarray]]
     stats: TrafficStats
     train_seconds: float
     is_server: bool = False
@@ -126,20 +125,13 @@ def aggregate_mean(total: np.ndarray, p: int) -> np.ndarray:
     return (total / np.float32(p)).astype(np.float32)
 
 
-def effective_mode(config: RunConfig, epoch: int) -> str:
-    """Mode in force at a given epoch under the warm-up scheme."""
-    if config.mode != MODE_PIPE_SGD:
-        return config.mode
-    return MODE_D_SYNC if epoch < config.warmup_epochs else MODE_PIPE_SGD
-
-
 class _LocalGradientMailbox:
     """Bounded ready-flag handoff from the compute to the comm thread.
 
-    Capacity K-1: the compute thread may run at most K-1 iterations
-    ahead of the communication thread, which is all a depth-K pipeline
-    can exploit. put() blocks while full, take() while empty; a poisoned
-    mailbox wakes both sides with the peer's failure.
+    Capacity K-1 (at least 1): the compute thread may run at most K-1
+    iterations ahead of the communication thread, which is all a depth-K
+    pipeline can exploit. put() blocks while full, take() while empty; a
+    poisoned mailbox wakes both sides with the peer's failure.
     """
 
     def __init__(self, capacity: int, timeout_s: float):
@@ -269,8 +261,6 @@ class _Worker:
         self._comm_trace: list[TraceEvent] = []
         self.metrics: list[tuple[int, float, float]] = []
         self.eval_points: list[tuple[int, np.ndarray]] = []
-        self.early_params: list[tuple[int, np.ndarray]] = []
-        self._updates_seen = 0
         self._run_start_ns = 0
 
     # -- small helpers ----------------------------------------------------
@@ -286,18 +276,9 @@ class _Worker:
             return self.batch_provider(self.rank, iteration)
         return sample_from_shard(self.shard, self.config.batch_size, self.rng)
 
-    def iterations_per_epoch(self) -> int:
-        return max(1, len(self.shard) // self.config.batch_size)
-
-    def _apply_update(self, total: np.ndarray, iteration: int) -> None:
+    def _apply_update(self, total: np.ndarray) -> None:
         mean = aggregate_mean(total, self.workers)
         self.params = sgd_update(self.params, mean, self.config.learning_rate)
-        self._after_update(iteration)
-
-    def _after_update(self, iteration: int) -> None:
-        self._updates_seen += 1
-        if self._updates_seen <= self.config.snapshot_first:
-            self.early_params.append((iteration, self.params.copy()))
 
     def _maybe_eval_snapshot(self, iteration: int) -> None:
         ev = self.config.eval_interval
@@ -320,81 +301,52 @@ class _Worker:
         self._rec(self.trace, STAGE_BACKWARD, t1, t2, iteration)
         return loss, grad
 
-    # -- synchronous loop (d_sync, and pipe_sgd warm-up) -------------------
+    # -- the training loop (d_sync, pipe_sgd and its warm-up) ---------------
 
-    def _sync_phase(
-        self,
-        t_start: int,
-        t_end: int,
-        pending: np.ndarray | None,
-        pending_tag: int,
-    ) -> tuple[np.ndarray | None, int]:
-        for t in range(t_start, t_end + 1):
-            t0 = self._now()
-            if pending is not None:
-                self._apply_update(pending, t)
-            self._rec(self.trace, STAGE_UPDATE, t0, self._now(), t, pending_tag)
-            loss, grad = self._compute_local(t)
-            a0 = self._now()
-            summed = ring_allreduce(
-                grad,
-                self.rank,
-                self.world,
-                self.endpoint,
-                self.config.codec,
-                iteration=t,
-            )
-            self._rec(self.trace, STAGE_ALLREDUCE, a0, self._now(), t)
-            pending, pending_tag = summed, t
-            self._record_metrics(t, loss)
-            self._maybe_eval_snapshot(t)
-        return pending, pending_tag
+    def _pipe_phase(self, t_start: int, t_end: int, depth: int) -> None:
+        """Iterations t_start..t_end at iteration dependency K = depth.
 
-    def _drain_pending(self, pending: np.ndarray | None, pending_tag: int) -> None:
-        if pending is None:
-            return
-        t0 = self._now()
-        self._apply_update(pending, pending_tag + 1)
-        self._rec(
-            self.trace, STAGE_UPDATE, t0, self._now(), pending_tag + 1, pending_tag
-        )
-
-    # -- pipelined loop -----------------------------------------------------
-
-    def _pipe_phase(self, t_start: int, t_end: int) -> None:
-        cfg = self.config
-        depth = cfg.depth
+        Update t consumes the aggregated gradient of t-K; the K slots
+        before t_start hold zeros, and the K gradients still in flight
+        after t_end are drained into the parameters.
+        """
+        timeout = self.endpoint.timeout_s + 5.0
+        buffer = GradientBuffer(depth, timeout)
+        mailbox = _LocalGradientMailbox(depth - 1, timeout)
         zeros = np.zeros(self.model.num_params, dtype=np.float32)
-        buffer = GradientBuffer(depth, self.endpoint.timeout_s + 5.0)
-        mailbox = _LocalGradientMailbox(depth - 1, self.endpoint.timeout_s + 5.0)
         for tag in range(t_start - depth, t_start):
             buffer.put(tag, zeros)
+
+        def comm_step(t: int) -> None:
+            i0 = self._now()
+            grad = mailbox.take(t)
+            i1 = self._now()
+            self._rec(self._comm_trace, STAGE_IDLE, i0, i1, t)
+            summed = ring_allreduce(
+                grad, self.rank, self.world, self.endpoint, self.config.codec,
+                iteration=t,
+            )
+            self._rec(self._comm_trace, STAGE_ALLREDUCE, i1, self._now(), t)
+            buffer.put(t, summed)
 
         comm_err: list[BaseException] = []
 
         def comm_loop() -> None:
             try:
                 for t in range(t_start, t_end + 1):
-                    i0 = self._now()
-                    grad = mailbox.take(t)
-                    i1 = self._now()
-                    self._rec(self._comm_trace, STAGE_IDLE, i0, i1, t)
-                    summed = ring_allreduce(
-                        grad,
-                        self.rank,
-                        self.world,
-                        self.endpoint,
-                        cfg.codec,
-                        iteration=t,
-                    )
-                    self._rec(self._comm_trace, STAGE_ALLREDUCE, i1, self._now(), t)
-                    buffer.put(t, summed)
+                    comm_step(t)
             except BaseException as err:  # propagate into the compute thread
                 comm_err.append(err)
                 buffer.poison(err)
 
-        comm = threading.Thread(target=comm_loop, name=f"comm-{self.rank}", daemon=True)
-        comm.start()
+        # At depth 1 the update waits on this very exchange, so there is
+        # nothing to overlap: the compute thread runs it inline.
+        comm = None
+        if depth > 1:
+            comm = threading.Thread(
+                target=comm_loop, name=f"comm-{self.rank}", daemon=True
+            )
+            comm.start()
 
         try:
             for t in range(t_start, t_end + 1):
@@ -402,29 +354,75 @@ class _Worker:
                 total = buffer.take(t - depth)
                 w1 = self._now()
                 self._rec(self.trace, STAGE_IDLE, w0, w1, t)
-                self._apply_update(total, t)
+                self._apply_update(total)
                 self._rec(self.trace, STAGE_UPDATE, w1, self._now(), t, t - depth)
                 loss, grad = self._compute_local(t)
                 mailbox.put(t, grad)
+                if comm is None:
+                    comm_step(t)
                 self._record_metrics(t, loss)
                 self._maybe_eval_snapshot(t)
             # Drain: consume the K aggregated gradients still in flight.
             for tag in range(t_end - depth + 1, t_end + 1):
                 total = buffer.take(tag)
                 d1 = self._now()
-                self._apply_update(total, tag + depth)
+                self._apply_update(total)
                 self._rec(self.trace, STAGE_UPDATE, d1, self._now(), tag + depth, tag)
         except BaseException as err:
             mailbox.poison(err)
-            comm.join(timeout=self.endpoint.timeout_s)
+            if comm is not None:
+                comm.join(timeout=self.endpoint.timeout_s)
             raise
+        if comm is None:
+            return
         comm.join(timeout=self.endpoint.timeout_s + 10.0)
         if comm.is_alive():
             raise EngineError(f"rank {self.rank}: communication thread hung")
         if comm_err:
             raise comm_err[0]
 
-    # -- mode entry points ---------------------------------------------------
+    # -- parameter-server mode -------------------------------------------
+
+    def _ps_worker_loop(self) -> None:
+        cfg = self.config
+        server = self.world - 1
+        for t in range(1, cfg.iterations + 1):
+            loss, grad = self._compute_local(t)
+            a0 = self._now()
+            gather_to_root(
+                grad, server, self.rank, self.world, self.endpoint, cfg.codec,
+                iteration=t,
+            )
+            self.params = broadcast_from_root(
+                None, server, self.rank, self.world, self.endpoint, iteration=t
+            )
+            self._rec(self.trace, STAGE_ALLREDUCE, a0, self._now(), t)
+            self._record_metrics(t, loss)
+            self._maybe_eval_snapshot(t)
+
+    def _ps_server_loop(self) -> None:
+        cfg = self.config
+        server = self.world - 1
+        zeros = np.zeros(self.model.num_params, dtype=np.float32)
+        for t in range(1, cfg.iterations + 1):
+            a0 = self._now()
+            total = gather_to_root(
+                zeros, server, self.rank, self.world, self.endpoint, cfg.codec,
+                iteration=t,
+            )
+            a1 = self._now()
+            self._rec(self.trace, STAGE_ALLREDUCE, a0, a1, t)
+            self._apply_update(total)
+            self._rec(self.trace, STAGE_UPDATE, a1, self._now(), t, t)
+            broadcast_from_root(
+                self.params, server, self.rank, self.world, self.endpoint,
+                iteration=t,
+            )
+
+    # -- entry point --------------------------------------------------------
+
+    def _is_server(self) -> bool:
+        return self.config.mode == MODE_PS_SYNC and self.rank == self.world - 1
 
     def run(self) -> WorkerResult:
         b0 = self._now()
@@ -432,27 +430,24 @@ class _Worker:
         self._rec(self.trace, STAGE_BARRIER, b0, self._now(), 0)
         self._run_start_ns = time.monotonic_ns()
 
-        if self.config.mode == MODE_D_SYNC:
-            pending, tag = self._sync_phase(1, self.config.iterations, None, 0)
-            self._drain_pending(pending, tag)
-        elif self.config.mode == MODE_PIPE_SGD:
-            self._run_pipe()
-        else:
-            raise ConfigError(f"worker cannot run mode {self.config.mode}")
-
-        train_seconds = (time.monotonic_ns() - self._run_start_ns) / 1e9
-        return self._result(train_seconds)
-
-    def _run_pipe(self) -> None:
         cfg = self.config
-        warmup_iters = min(
-            cfg.iterations, cfg.warmup_epochs * self.iterations_per_epoch()
-        )
-        if warmup_iters > 0:
-            pending, tag = self._sync_phase(1, warmup_iters, None, 0)
-            self._drain_pending(pending, tag)
-        if warmup_iters < cfg.iterations:
-            self._pipe_phase(warmup_iters + 1, cfg.iterations)
+        if self._is_server():
+            self._ps_server_loop()
+        elif cfg.mode == MODE_PS_SYNC:
+            self._ps_worker_loop()
+        else:
+            # d_sync is the depth-1 pipeline throughout; pipe_sgd runs its
+            # warm-up epochs at depth 1 and the rest at depth K.
+            sync_iters = cfg.iterations
+            if cfg.mode == MODE_PIPE_SGD:
+                per_epoch = max(1, len(self.shard) // cfg.batch_size)
+                sync_iters = min(cfg.iterations, cfg.warmup_epochs * per_epoch)
+            if sync_iters > 0:
+                self._pipe_phase(1, sync_iters, 1)
+            if sync_iters < cfg.iterations:
+                self._pipe_phase(sync_iters + 1, cfg.iterations, cfg.depth)
+
+        return self._result((time.monotonic_ns() - self._run_start_ns) / 1e9)
 
     def _result(self, train_seconds: float) -> WorkerResult:
         if self.rank == 0 and self.config.eval_interval > 0:
@@ -469,73 +464,10 @@ class _Worker:
             trace=merged,
             metrics=self.metrics,
             eval_points=self.eval_points,
-            early_params=self.early_params,
             stats=self.endpoint.stats.snapshot(),
             train_seconds=train_seconds,
-            is_server=False,
+            is_server=self._is_server(),
         )
-
-    # -- parameter-server mode -------------------------------------------
-
-    def run_ps_worker(self) -> WorkerResult:
-        cfg = self.config
-        server = self.world - 1
-        b0 = self._now()
-        barrier(self.rank, self.world, self.endpoint)
-        self._rec(self.trace, STAGE_BARRIER, b0, self._now(), 0)
-        self._run_start_ns = time.monotonic_ns()
-        for t in range(1, cfg.iterations + 1):
-            loss, grad = self._compute_local(t)
-            a0 = self._now()
-            gather_to_root(
-                grad, server, self.rank, self.world, self.endpoint, cfg.codec,
-                iteration=t,
-            )
-            self.params = broadcast_from_root(
-                None, server, self.rank, self.world, self.endpoint, iteration=t
-            )
-            self._rec(self.trace, STAGE_ALLREDUCE, a0, self._now(), t)
-            self._after_update(t)
-            self._record_metrics(t, loss)
-            self._maybe_eval_snapshot(t)
-        return self._result((time.monotonic_ns() - self._run_start_ns) / 1e9)
-
-    def run_ps_server(self) -> WorkerResult:
-        cfg = self.config
-        server = self.world - 1
-        zeros = np.zeros(self.model.num_params, dtype=np.float32)
-        b0 = self._now()
-        barrier(self.rank, self.world, self.endpoint)
-        self._rec(self.trace, STAGE_BARRIER, b0, self._now(), 0)
-        self._run_start_ns = time.monotonic_ns()
-        for t in range(1, cfg.iterations + 1):
-            a0 = self._now()
-            total = gather_to_root(
-                zeros, server, self.rank, self.world, self.endpoint, cfg.codec,
-                iteration=t,
-            )
-            a1 = self._now()
-            self._rec(self.trace, STAGE_ALLREDUCE, a0, a1, t)
-            self.params = sgd_update(
-                self.params, aggregate_mean(total, self.workers), cfg.learning_rate
-            )
-            u1 = self._now()
-            self._rec(self.trace, STAGE_UPDATE, a1, u1, t, t)
-            broadcast_from_root(
-                self.params, server, self.rank, self.world, self.endpoint,
-                iteration=t,
-            )
-        result = self._result((time.monotonic_ns() - self._run_start_ns) / 1e9)
-        result.is_server = True
-        return result
-
-
-def _entry(worker: _Worker) -> WorkerResult:
-    if worker.config.mode != MODE_PS_SYNC:
-        return worker.run()
-    if worker.rank == worker.world - 1:
-        return worker.run_ps_server()
-    return worker.run_ps_worker()
 
 
 def run_inproc_cluster(
@@ -571,7 +503,7 @@ def run_inproc_cluster(
 
     def runner(idx: int) -> None:
         try:
-            results[idx] = _entry(ws[idx])
+            results[idx] = ws[idx].run()
         except BaseException as err:
             errors.append(err)
 
@@ -619,6 +551,6 @@ def run_tcp_worker(
         worker = _Worker(
             rank, workers, endpoint, dataset, model, config, time.monotonic_ns()
         )
-        return _entry(worker)
+        return worker.run()
     finally:
         endpoint.close()

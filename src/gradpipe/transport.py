@@ -45,6 +45,10 @@ MAX_FRAME_BYTES = 1 << 30
 
 DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_CONNECT_TIMEOUT_S = 30.0
+# A dial that finds no listener yet retries after a pause that starts
+# here and doubles up to the cap, until the connect deadline.
+DIAL_RETRY_FIRST_S = 0.001
+DIAL_RETRY_MAX_S = 0.05
 
 Buffer = bytes | bytearray | memoryview
 
@@ -110,7 +114,7 @@ class Endpoint:
     ) -> None:
         raise NotImplementedError
 
-    def recv(self, src: int, timeout_s: float | None = None) -> Message:
+    def recv(self, src: int) -> Message:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -136,13 +140,11 @@ class InProcEndpoint(Endpoint):
             Message(msg_type, iteration, block_index, payload)
         )
 
-    def recv(self, src, timeout_s=None):
+    def recv(self, src):
         if not 0 <= src < self.world_size:
             raise TransportError(f"rank {self.rank}: bad source {src}")
         try:
-            msg = self._transport.queues[(src, self.rank)].get(
-                timeout=self.timeout_s if timeout_s is None else timeout_s
-            )
+            msg = self._transport.queues[(src, self.rank)].get(timeout=self.timeout_s)
         except queue.Empty:
             raise TransportError(
                 f"rank {self.rank}: timed out waiting for rank {src}"
@@ -216,11 +218,8 @@ class TcpEndpoint(Endpoint):
         latency_s: float = 0.0,
         byte_time_s: float = 0.0,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        connect_timeout_s: float | None = None,
     ):
         super().__init__(rank, len(roster), latency_s, byte_time_s, timeout_s)
-        if connect_timeout_s is None:
-            connect_timeout_s = DEFAULT_CONNECT_TIMEOUT_S
         self._socks: dict[int, socket.socket] = {}
         self._send_locks: dict[int, threading.Lock] = {}
         self._recv_locks: dict[int, threading.Lock] = {}
@@ -229,7 +228,7 @@ class TcpEndpoint(Endpoint):
             return
 
         try:
-            self._connect_mesh(roster, connect_timeout_s)
+            self._connect_mesh(roster)
         except BaseException:
             self.close()
             raise
@@ -238,17 +237,15 @@ class TcpEndpoint(Endpoint):
             self._recv_locks[peer] = threading.Lock()
             sock.settimeout(self.timeout_s)
 
-    def _connect_mesh(
-        self, roster: list[tuple[str, int]], connect_timeout_s: float
-    ) -> None:
+    def _connect_mesh(self, roster: list[tuple[str, int]]) -> None:
         rank = self.rank
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind(roster[rank])
         self._listener.listen(self.world_size)
-        self._listener.settimeout(connect_timeout_s)
+        self._listener.settimeout(DEFAULT_CONNECT_TIMEOUT_S)
 
-        deadline = time.monotonic() + connect_timeout_s
+        deadline = time.monotonic() + DEFAULT_CONNECT_TIMEOUT_S
         for peer in range(rank):
             self._socks[peer] = self._dial(roster[peer], deadline)
         for _ in range(rank + 1, self.world_size):
@@ -259,7 +256,7 @@ class TcpEndpoint(Endpoint):
                     f"rank {rank}: timed out accepting mesh connections"
                 ) from None
             try:
-                conn.settimeout(connect_timeout_s)
+                conn.settimeout(DEFAULT_CONNECT_TIMEOUT_S)
                 (peer,) = struct.unpack("<I", _recv_exact(conn, 4, f"rank {rank}"))
             except (OSError, TransportError) as err:
                 conn.close()
@@ -275,6 +272,7 @@ class TcpEndpoint(Endpoint):
 
     def _dial(self, addr: tuple[str, int], deadline: float) -> socket.socket:
         last_err: Exception | None = None
+        pause = DIAL_RETRY_FIRST_S
         while time.monotonic() < deadline:
             try:
                 sock = socket.create_connection(addr, timeout=2.0)
@@ -283,7 +281,8 @@ class TcpEndpoint(Endpoint):
                 return sock
             except OSError as err:  # peer not listening yet
                 last_err = err
-                time.sleep(0.05)
+                time.sleep(pause)
+                pause = min(2 * pause, DIAL_RETRY_MAX_S)
         raise TransportError(
             f"rank {self.rank}: could not reach {addr[0]}:{addr[1]} ({last_err})"
         )
@@ -301,13 +300,11 @@ class TcpEndpoint(Endpoint):
             except OSError as err:
                 raise TransportError(f"rank {self.rank}: send to {dst}: {err}") from err
 
-    def recv(self, src, timeout_s=None):
+    def recv(self, src):
         if src == self.rank or src not in self._socks:
             raise TransportError(f"rank {self.rank}: bad source {src}")
         sock = self._socks[src]
         with self._recv_locks[src]:
-            if timeout_s is not None:
-                sock.settimeout(timeout_s)
             try:
                 head = _recv_exact(sock, FRAME_HEADER.size, f"rank {self.rank}")
                 length, msg_type, iteration, block_index = FRAME_HEADER.unpack(head)
@@ -330,9 +327,6 @@ class TcpEndpoint(Endpoint):
                 ) from None
             except OSError as err:
                 raise TransportError(f"rank {self.rank}: recv from {src}: {err}") from err
-            finally:
-                if timeout_s is not None:
-                    sock.settimeout(self.timeout_s)
         self._injected_delay(payload)
         return Message(msg_type, iteration, block_index, payload)
 

@@ -1,9 +1,11 @@
-"""Shared helpers for running in-process rank groups inside tests."""
+"""Shared helpers for the tests: in-process rank groups and the engine's
+batch sequence."""
 
 import threading
 
 import numpy as np
 
+from gradpipe.data import sample_from_shard
 from gradpipe.transport import InProcTransport
 
 
@@ -33,3 +35,10 @@ def assert_sum_close(out, want, rtol=1e-6):
     """1e-6 relative with a magnitude-scaled absolute floor for zero crossings."""
     atol = rtol * max(1.0, float(np.abs(want).max()))
     np.testing.assert_allclose(out, want, rtol=rtol, atol=atol)
+
+
+def engine_batches(data, rank, workers, batch_size, seed, count):
+    """Replicate the engine's per-worker batch sequence."""
+    rng = np.random.default_rng([seed, rank])
+    shard = data.shard(rank, workers)
+    return [sample_from_shard(shard, batch_size, rng) for _ in range(count)]

@@ -339,7 +339,7 @@ class TestTcpTransport:
         for peer in peers:
             peer.start()
         with pytest.raises(TransportError, match=f"rank 0: inbound peer claims rank {claims[-1]}"):
-            TcpEndpoint(0, roster, timeout_s=5, connect_timeout_s=10)
+            TcpEndpoint(0, roster, timeout_s=5)
         for peer in peers:
             peer.join(timeout=10)
             assert not peer.is_alive()

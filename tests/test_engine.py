@@ -1,12 +1,14 @@
 
+import threading
+
 import numpy as np
 import pytest
 
-from helpers import run_ranks
+from helpers import engine_batches, run_ranks
 
 from gradpipe.collective import gather_to_root, ring_allreduce
 from gradpipe.compression import Codec
-from gradpipe.data import sample_from_shard, synthetic_blobs
+from gradpipe.data import synthetic_blobs
 from gradpipe.engine import (
     GradientBuffer,
     MODE_D_SYNC,
@@ -14,11 +16,16 @@ from gradpipe.engine import (
     MODE_PS_SYNC,
     RunConfig,
     aggregate_mean,
-    effective_mode,
     run_inproc_cluster,
 )
 from gradpipe.errors import ConfigError, EngineError
-from gradpipe.models import backward_grad, logistic_model, init_params, sgd_update
+from gradpipe.models import (
+    backward_grad,
+    forward_loss,
+    init_params,
+    logistic_model,
+    sgd_update,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +33,6 @@ def small_problem():
     data = synthetic_blobs(dim=8, num_classes=2, num_samples=512, seed=1)
     model = logistic_model(8, 2)
     return data, model
-
-
-def engine_batches(data, rank, workers, batch_size, seed, count):
-    """Replicate the engine's per-worker batch sequence."""
-    rng = np.random.default_rng([seed, rank])
-    shard = data.shard(rank, workers)
-    return [sample_from_shard(shard, batch_size, rng) for _ in range(count)]
 
 
 class TestDSyncSingleNode:
@@ -82,26 +82,30 @@ class TestPipeSingleNode:
 
     def test_first_updates_are_noops(self, small_problem):
         data, model = small_problem
+        p, depth = 2, 3
         cfg = RunConfig(
-            mode=MODE_PIPE_SGD, iterations=6, batch_size=16, seed=3, depth=3,
-            snapshot_first=4,
+            mode=MODE_PIPE_SGD, iterations=6, batch_size=16, seed=3, depth=depth
         )
-        result = run_inproc_cluster(2, cfg, data, model)[0]
         w0 = init_params(model, cfg.seed)
-        snaps = dict(result.early_params)
         # Updates 1 .. K consume the zero-initialized slots (tags 1-K .. 0),
-        # so w stays at w[0] through them; update K+1 consumes tag 1.
-        assert np.array_equal(snaps[1], w0)
-        assert np.array_equal(snaps[2], w0)
-        assert np.array_equal(snaps[3], w0)
-        assert not np.array_equal(snaps[4], w0)
+        # so iterations 1 .. K compute their loss at w[0]; update K+1
+        # consumes tag 1.
+        for result in run_inproc_cluster(p, cfg, data, model):
+            batches = engine_batches(data, result.rank, p, 16, cfg.seed, depth + 1)
+            at_w0 = [forward_loss(w0, model, data, b) for b in batches]
+            recorded = [loss for _, _, loss in result.metrics[: depth + 1]]
+            assert recorded[:depth] == at_w0[:depth]
+            assert recorded[depth] != at_w0[depth]
 
-    def test_staleness_tags_exact(self, small_problem):
+    @pytest.mark.parametrize(
+        "mode, depth",
+        [(MODE_D_SYNC, 1), (MODE_PIPE_SGD, 2), (MODE_PIPE_SGD, 3)],
+        ids=["d_sync-K1", "pipe_sgd-K2", "pipe_sgd-K3"],
+    )
+    def test_staleness_tags_exact(self, small_problem, mode, depth):
         data, model = small_problem
-        depth, T = 2, 25
-        cfg = RunConfig(
-            mode=MODE_PIPE_SGD, iterations=T, batch_size=16, seed=4, depth=depth
-        )
+        T = 25
+        cfg = RunConfig(mode=mode, iterations=T, batch_size=16, seed=4, depth=depth)
         for result in run_inproc_cluster(2, cfg, data, model):
             updates = [e for e in result.trace if e.stage == "update"]
             assert len(updates) == T + depth  # T in-loop + depth drained
@@ -267,18 +271,6 @@ class TestAggregateSemantics:
 
 
 class TestWarmup:
-    def test_effective_mode_schedule(self):
-        cfg = RunConfig(mode=MODE_PIPE_SGD, warmup_epochs=5)
-        assert effective_mode(cfg, 0) == MODE_D_SYNC
-        assert effective_mode(cfg, 4) == MODE_D_SYNC
-        assert effective_mode(cfg, 5) == MODE_PIPE_SGD
-        assert effective_mode(RunConfig(mode=MODE_PIPE_SGD, warmup_epochs=0), 0) == (
-            MODE_PIPE_SGD
-        )
-        assert effective_mode(RunConfig(mode=MODE_D_SYNC, warmup_epochs=5), 0) == (
-            MODE_D_SYNC
-        )
-
     def test_switch_consumes_every_gradient_exactly_once(self, small_problem):
         data, model = small_problem
         # shard 256 samples / batch 64 -> 4 iterations per epoch; warmup
@@ -356,6 +348,25 @@ class TestOverlap:
                 overlapped += 1
         assert candidates > 10
         assert overlapped >= candidates * 0.5
+
+
+class TestCommThread:
+    @pytest.mark.parametrize(
+        "mode, threaded", [(MODE_D_SYNC, False), (MODE_PIPE_SGD, True)]
+    )
+    def test_comm_thread_only_when_pipelined(self, small_problem, mode, threaded):
+        data, model = small_problem
+        seen = []
+
+        def provider(rank, t):
+            names = {th.name for th in threading.enumerate()}
+            seen.append(f"comm-{rank}" in names)
+            return np.arange(16)
+
+        cfg = RunConfig(mode=mode, iterations=5, batch_size=16, seed=0)
+        run_inproc_cluster(2, cfg, data, model, batch_provider=provider)
+        assert len(seen) == 2 * 5
+        assert set(seen) == {threaded}
 
 
 class TestTraceIntegrity:

@@ -13,11 +13,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .compression import Codec
+from .engine import MODES
 from .errors import ConfigError, GradPipeError, TransportError
 from .harness import (
+    CLOCK_LOGICAL,
+    CLOCK_MONOTONIC,
+    DATASET_MNIST,
+    DATASET_SYNTHETIC,
     ExperimentConfig,
     calibrate,
     calibration_text,
@@ -32,6 +38,7 @@ from .harness import (
     prediction_table,
     run_experiment,
 )
+from .models import LOGISTIC, MLP
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,9 +48,9 @@ EXIT_THRESHOLD = 4
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--mode", choices=["ps_sync", "d_sync", "pipe_sgd"])
+    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--codec", choices=["none", "trunc16", "quant8"])
+    parser.add_argument("--codec", choices=[c.name.lower() for c in Codec])
     parser.add_argument("--k", dest="depth", type=int, help="pipeline depth K")
     parser.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
     parser.add_argument("--transport", choices=["inproc", "tcp"])
@@ -56,12 +63,12 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr", dest="learning_rate", type=float)
     parser.add_argument("--batch-size", dest="batch_size", type=int)
     parser.add_argument("--eval-interval", dest="eval_interval", type=int)
-    parser.add_argument("--dataset", choices=["synthetic-convex", "mnist"])
+    parser.add_argument("--dataset", choices=[DATASET_SYNTHETIC, DATASET_MNIST])
     parser.add_argument("--mnist-images", dest="mnist_images")
     parser.add_argument("--mnist-labels", dest="mnist_labels")
-    parser.add_argument("--model", choices=["logistic", "mlp"])
+    parser.add_argument("--model", choices=[LOGISTIC, MLP])
     parser.add_argument("--hidden", help="comma-separated hidden layer sizes")
-    parser.add_argument("--clock", choices=["monotonic", "logical"])
+    parser.add_argument("--clock", choices=[CLOCK_MONOTONIC, CLOCK_LOGICAL])
     parser.add_argument("--out", dest="out_dir", help="output directory")
 
 
@@ -69,14 +76,10 @@ def _gather_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict[str, str] = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for key in (
-        "mode workers codec depth warmup_epochs transport roster rank "
-        "inject_alpha_ms inject_mbps seed iterations learning_rate batch_size "
-        "eval_interval dataset mnist_images mnist_labels model hidden clock out_dir"
-    ).split():
-        value = getattr(args, key, None)
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            values[key] = str(value)
+            values[f.name] = str(value)
     return config_from_mapping(values)
 
 
@@ -206,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     except GradPipeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as err:
+    except (FileNotFoundError, UnicodeDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

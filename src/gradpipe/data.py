@@ -88,8 +88,9 @@ def _read_idx_header(buf: bytes, expected_magic: int, path: str) -> tuple[int, .
             f"{path}: bad IDX magic 0x{magic:08X}, expected 0x{expected_magic:08X}"
         )
     ndim = magic & 0xFF
-    dims = struct.unpack(f">{ndim}I", buf[4 : 4 + 4 * ndim])
-    return dims
+    if len(buf) < 4 + 4 * ndim:
+        raise ConfigError(f"{path}: truncated IDX header")
+    return struct.unpack_from(f">{ndim}I", buf, 4)
 
 
 def load_idx_images(path: str | Path) -> np.ndarray:
@@ -126,4 +127,6 @@ def load_idx_dataset(images_path: str | Path, labels_path: str | Path) -> Datase
         raise ConfigError(
             f"image count {features.shape[0]} != label count {labels.shape[0]}"
         )
+    if not labels.size:
+        raise ConfigError(f"{labels_path}: no samples")
     return Dataset(features=features, labels=labels, num_classes=int(labels.max()) + 1)

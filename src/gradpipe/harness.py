@@ -16,13 +16,18 @@ the file byte-identical across repeated seeded runs (real timings never
 are); trace and summary always carry real times. Evaluation happens on
 parameter snapshots after training finishes, so it never perturbs the
 measured training time.
+
+A config file is ``key = value`` lines whose keys are the field names of
+:class:`ExperimentConfig`; each value is parsed by the type of that
+field's default (a codec name, a comma-separated list of ints, or an int,
+float or string).
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +50,7 @@ from .engine import (
     run_inproc_cluster,
     run_tcp_worker,
 )
-from .errors import ConfigError
+from .errors import CodecError, ConfigError
 from .models import (
     ModelSpec,
     backward_grad,
@@ -88,7 +93,12 @@ TRACE_HEADER = "rank,iteration,stage,start_ns,end_ns,consumed_tag"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one experiment run."""
+    """Full description of one experiment run.
+
+    Each field is also a config-file key. Invalid values raise
+    ConfigError at construction: the RunConfig fields are checked by
+    RunConfig, the rest here.
+    """
 
     mode: str = MODE_D_SYNC
     workers: int = 4
@@ -117,9 +127,8 @@ class ExperimentConfig:
     clock: str = CLOCK_MONOTONIC
     out_dir: str = ""
 
-    def validate(self) -> None:
-        if self.mode not in (MODE_PS_SYNC, MODE_D_SYNC, MODE_PIPE_SGD):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+    def __post_init__(self) -> None:
+        self.run_config()
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.dataset not in (DATASET_SYNTHETIC, DATASET_MNIST):
@@ -148,47 +157,7 @@ class ExperimentConfig:
         return 8.0 / (self.inject_mbps * 1e6)
 
     def run_config(self) -> RunConfig:
-        return RunConfig(
-            mode=self.mode,
-            iterations=self.iterations,
-            learning_rate=self.learning_rate,
-            codec=self.codec,
-            depth=self.depth,
-            batch_size=self.batch_size,
-            warmup_epochs=self.warmup_epochs,
-            eval_interval=self.eval_interval,
-            seed=self.seed,
-        )
-
-
-_CONFIG_KEYS = {
-    "mode": str,
-    "workers": int,
-    "iterations": int,
-    "learning_rate": float,
-    "codec": "codec",
-    "depth": int,
-    "batch_size": int,
-    "warmup_epochs": int,
-    "eval_interval": int,
-    "seed": int,
-    "dataset": str,
-    "synth_dim": int,
-    "synth_classes": int,
-    "synth_samples": int,
-    "synth_separation": float,
-    "mnist_images": str,
-    "mnist_labels": str,
-    "model": str,
-    "hidden": "ints",
-    "transport": str,
-    "roster": str,
-    "rank": int,
-    "inject_alpha_ms": float,
-    "inject_mbps": float,
-    "clock": str,
-    "out_dir": str,
-}
+        return RunConfig(**{f.name: getattr(self, f.name) for f in fields(RunConfig)})
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -206,24 +175,23 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
+    """ExperimentConfig from config-file strings keyed by field name."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, raw in values.items():
-        if key not in _CONFIG_KEYS:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = _CONFIG_KEYS[key]
-        if kind == "codec":
-            kwargs[key] = Codec.parse(raw)
-        elif kind == "ints":
-            kwargs[key] = tuple(int(v) for v in raw.split(",") if v.strip())
-        elif kind is int:
-            kwargs[key] = int(raw)
-        elif kind is float:
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = raw
-    config = ExperimentConfig(**kwargs)
-    config.validate()
-    return config
+        default = defaults[key]
+        try:
+            if isinstance(default, Codec):  # before int: Codec is an IntEnum
+                kwargs[key] = Codec.parse(raw)
+            elif isinstance(default, tuple):
+                kwargs[key] = tuple(int(v) for v in raw.split(",") if v.strip())
+            else:
+                kwargs[key] = type(default)(raw)
+        except (ValueError, CodecError):
+            raise ConfigError(f"config key {key}: bad value {raw!r}") from None
+    return ExperimentConfig(**kwargs)
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -278,22 +246,37 @@ class BreakdownReport:
         )
 
 
-def parse_breakdown_csv(text: str) -> list[BreakdownReport]:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != BREAKDOWN_HEADER:
-        raise ConfigError("not a breakdown.csv file (bad header)")
-    reports = []
-    for line in lines[1:]:
+def _parse_csv(text: str, header: str, name: str, parse_row) -> list:
+    """parse_row(fields) for each data row below the header; a malformed
+    row raises ConfigError naming its line."""
+    numbered = [(n, l) for n, l in enumerate(text.splitlines(), 1) if l.strip()]
+    if not numbered or numbered[0][1] != header:
+        raise ConfigError(f"not a {name} file (bad header)")
+    width = header.count(",") + 1
+    rows = []
+    for lineno, line in numbered[1:]:
         f = line.split(",")
-        reports.append(
-            BreakdownReport(
-                mode=f[0], workers=int(f[1]), iterations=int(f[2]), depth=int(f[3]),
-                codec=f[4], update_s=float(f[5]), compute_s=float(f[6]),
-                communicate_s=float(f[7]), idle_s=float(f[8]),
-                iteration_wall_s=float(f[9]), final_accuracy=float(f[10]),
-            )
-        )
-    return reports
+        try:
+            if len(f) != width:
+                raise ValueError(f"expected {width} fields, got {len(f)}")
+            rows.append(parse_row(f))
+        except ValueError as err:
+            raise ConfigError(f"{name} line {lineno}: {err}") from None
+    return rows
+
+
+def parse_breakdown_csv(text: str) -> list[BreakdownReport]:
+    return _parse_csv(
+        text,
+        BREAKDOWN_HEADER,
+        "breakdown.csv",
+        lambda f: BreakdownReport(
+            mode=f[0], workers=int(f[1]), iterations=int(f[2]), depth=int(f[3]),
+            codec=f[4], update_s=float(f[5]), compute_s=float(f[6]),
+            communicate_s=float(f[7]), idle_s=float(f[8]),
+            iteration_wall_s=float(f[9]), final_accuracy=float(f[10]),
+        ),
+    )
 
 
 _BUCKETS = {
@@ -355,16 +338,12 @@ def format_metrics_rows(
 
 
 def parse_metrics_csv(text: str) -> list[tuple[int, float, float, float | None]]:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != METRICS_HEADER:
-        raise ConfigError("not a metrics.csv file (bad header)")
-    rows = []
-    for line in lines[1:]:
-        it, wall, loss, acc = line.split(",")
-        rows.append(
-            (int(it), float(wall), float(loss), float(acc) if acc else None)
-        )
-    return rows
+    return _parse_csv(
+        text,
+        METRICS_HEADER,
+        "metrics.csv",
+        lambda f: (int(f[0]), float(f[1]), float(f[2]), float(f[3]) if f[3] else None),
+    )
 
 
 def format_trace_csv(workers: list[WorkerResult]) -> str:
@@ -380,7 +359,6 @@ def format_trace_csv(workers: list[WorkerResult]) -> str:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one training job end to end and write its report files."""
-    config.validate()
     dataset = build_dataset(config)
     model = build_model(config, dataset)
     run_cfg = config.run_config()
@@ -515,7 +493,6 @@ def calibrate(
     threads. The reduction probe times one decode+add+encode hop per byte
     for the configured codec.
     """
-    config.validate()
     dataset = build_dataset(config)
     model = build_model(config, dataset)
     params0 = init_params(model, config.seed)
@@ -621,26 +598,32 @@ def calibration_text(stages: StageTimes, cluster: ClusterParams) -> str:
 
 
 def parse_calibration(values: dict[str, str]) -> tuple[StageTimes, ClusterParams]:
-    try:
-        cluster = ClusterParams(
-            workers=int(values["workers"]),
-            latency_s=float(values["alpha_s"]),
-            byte_time_s=float(values["byte_time_s"]),
-            reduce_time_s=float(values.get("reduce_time_s", "0")),
-            sync_time_s=float(values.get("sync_time_s", "0")),
-            model_bytes=float(values.get("model_bytes", "0")),
-            segments=int(values.get("segments", "1")),
-        )
-        backward = float(values["l_back"])
-        stages = StageTimes(
-            update=float(values.get("l_up", "0")),
-            forward=float(values.get("l_for", "0")),
-            backward=backward,
-            first_segment_backward=float(values.get("l_b", backward)),
-            comm=float(values.get("l_comm", "0")) or ring_comm_time(cluster),
-        )
-    except KeyError as err:
-        raise ConfigError(f"calibration file is missing key {err}") from None
+    def number(key: str, default: object = None, kind: type = float):
+        raw = values.get(key, default)
+        if raw is None:
+            raise ConfigError(f"calibration file is missing key {key!r}")
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"calibration key {key}: bad value {raw!r}") from None
+
+    cluster = ClusterParams(
+        workers=number("workers", kind=int),
+        latency_s=number("alpha_s"),
+        byte_time_s=number("byte_time_s"),
+        reduce_time_s=number("reduce_time_s", 0.0),
+        sync_time_s=number("sync_time_s", 0.0),
+        model_bytes=number("model_bytes", 0.0),
+        segments=number("segments", 1, int),
+    )
+    backward = number("l_back")
+    stages = StageTimes(
+        update=number("l_up", 0.0),
+        forward=number("l_for", 0.0),
+        backward=backward,
+        first_segment_backward=number("l_b", backward),
+        comm=number("l_comm", 0.0) or ring_comm_time(cluster),
+    )
     return stages, cluster
 
 

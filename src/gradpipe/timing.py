@@ -106,20 +106,25 @@ def t_pipe_limited(iterations: int, stages: StageTimes) -> float:
     return iterations * max(stages.update + stages.compute, stages.comm)
 
 
+def _ring_time(params: ClusterParams, segments: int) -> float:
+    """2(p-1) L alpha + 2((p-1)/p) n beta + ((p-1)/p) n gamma_red + L S."""
+    p = params.workers
+    if p == 1:
+        return segments * params.sync_time_s
+    frac = (p - 1) / p
+    return (
+        2 * (p - 1) * segments * params.latency_s
+        + 2 * frac * params.model_bytes * params.byte_time_s
+        + frac * params.model_bytes * params.reduce_time_s
+        + segments * params.sync_time_s
+    )
+
+
 def ring_comm_time(params: ClusterParams) -> float:
     """Per-iteration ring exchange time with sequential communication:
     2(p-1) alpha + 2((p-1)/p) n beta + ((p-1)/p) n gamma_red + S.
     """
-    p = params.workers
-    if p == 1:
-        return params.sync_time_s
-    frac = (p - 1) / p
-    return (
-        2 * (p - 1) * params.latency_s
-        + 2 * frac * params.model_bytes * params.byte_time_s
-        + frac * params.model_bytes * params.reduce_time_s
-        + params.sync_time_s
-    )
+    return _ring_time(params, 1)
 
 
 def segmented_comm_time(params: ClusterParams) -> float:
@@ -129,17 +134,7 @@ def segmented_comm_time(params: ClusterParams) -> float:
     Segmenting multiplies the per-message latency and synchronization
     terms by L while the byte terms are unchanged.
     """
-    p = params.workers
-    L = params.segments
-    if p == 1:
-        return L * params.sync_time_s
-    frac = (p - 1) / p
-    return (
-        2 * (p - 1) * L * params.latency_s
-        + 2 * frac * params.model_bytes * params.byte_time_s
-        + frac * params.model_bytes * params.reduce_time_s
-        + L * params.sync_time_s
-    )
+    return _ring_time(params, params.segments)
 
 
 def star_comm_time(params: ClusterParams) -> float:

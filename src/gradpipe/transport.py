@@ -348,8 +348,10 @@ def parse_roster(text: str) -> list[tuple[str, int]]:
         if not line:
             continue
         host, sep, port = line.rpartition(":")
-        if not sep or not port.isdigit():
-            raise ConfigError(f"roster line {lineno}: expected host:port, got {line!r}")
+        if not (sep and port.isascii() and port.isdigit() and 0 < int(port) < 65536):
+            raise ConfigError(
+                f"roster line {lineno}: expected host:port with port 1-65535, got {line!r}"
+            )
         roster.append((host, int(port)))
     if not roster:
         raise ConfigError("roster is empty")

@@ -49,6 +49,17 @@ class TestIdxReader:
         with pytest.raises(ConfigError, match="payload"):
             load_idx_images(path)
 
+    def test_header_cut_inside_dims(self, tmp_path):
+        path = tmp_path / "cut.idx"
+        path.write_bytes(struct.pack(">I", 0x00000803) + b"\x00\x00")
+        with pytest.raises(ConfigError, match="truncated IDX header"):
+            load_idx_images(path)
+
+    def test_empty_dataset(self, tmp_path):
+        img_path, lab_path = make_idx_files(tmp_path, count=0)
+        with pytest.raises(ConfigError, match="no samples"):
+            load_idx_dataset(img_path, lab_path)
+
     def test_label_magic_and_count(self, tmp_path):
         path = tmp_path / "labels.idx"
         path.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([0, 1, 0, 1]))

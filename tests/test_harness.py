@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,14 +7,18 @@ import pytest
 from gradpipe.charts import padded_bounds
 from gradpipe.cli import main
 from gradpipe.compression import Codec
+from gradpipe.engine import RunConfig
 from gradpipe.errors import ConfigError
 from gradpipe.harness import (
+    BREAKDOWN_HEADER,
+    METRICS_HEADER,
     BreakdownReport,
     ExperimentConfig,
     calibrate,
     calibration_text,
     compare_prediction,
     config_from_mapping,
+    load_config_file,
     parse_breakdown_csv,
     parse_calibration,
     parse_kv_text,
@@ -74,13 +79,48 @@ class TestConfigParsing:
 
     def test_validation_rules(self):
         with pytest.raises(ConfigError):
-            tiny_config(dataset="mnist").validate()  # missing idx paths
+            tiny_config(dataset="mnist")  # missing idx paths
         with pytest.raises(ConfigError):
-            tiny_config(transport="tcp").validate()  # missing roster
+            tiny_config(transport="tcp")  # missing roster
         with pytest.raises(ConfigError):
-            tiny_config(clock="sundial").validate()
+            tiny_config(clock="sundial")
         with pytest.raises(ConfigError):
             config_from_mapping({"mode": "who_knows"})
+
+    @pytest.mark.parametrize(
+        "key,raw",
+        [("workers", "four"), ("hidden", "5,x"), ("learning_rate", "fast"),
+         ("codec", "zip")],
+    )
+    def test_bad_value_names_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"config key {key}: bad value"):
+            config_from_mapping({key: raw})
+
+    def test_schema_roundtrip(self, tmp_path):
+        def text(value):
+            if isinstance(value, Codec):
+                return value.name.lower()
+            if isinstance(value, tuple):
+                return ",".join(str(v) for v in value)
+            return str(value)
+
+        path = tmp_path / "defaults.cfg"
+        path.write_text(
+            "".join(f"{f.name} = {text(f.default)}\n" for f in fields(ExperimentConfig))
+        )
+        values = load_config_file(path)
+        assert set(values) == {f.name for f in fields(ExperimentConfig)}
+        assert config_from_mapping(values) == ExperimentConfig()
+
+    def test_run_config_carries_every_field(self):
+        config = tiny_config(
+            mode="pipe_sgd", iterations=9, learning_rate=0.25, codec=Codec.QUANT8,
+            depth=3, batch_size=5, warmup_epochs=2, eval_interval=4, seed=11,
+        )
+        run = config.run_config()
+        for f in fields(RunConfig):
+            assert getattr(run, f.name) == getattr(config, f.name), f.name
+            assert getattr(run, f.name) != f.default, f.name
 
     def test_bandwidth_conversion(self):
         config = tiny_config(inject_mbps=100.0)
@@ -186,6 +226,34 @@ class TestCalibrate:
         assert cluster2 == cluster
         assert stages2.update == pytest.approx(stages.update)
         assert stages2.comm == pytest.approx(stages.comm)
+
+
+    def test_bad_calibration_value_names_key(self):
+        with pytest.raises(ConfigError, match="calibration key alpha_s"):
+            parse_calibration({"workers": "2", "alpha_s": "x", "byte_time_s": "0",
+                               "l_back": "0"})
+        with pytest.raises(ConfigError, match="missing key 'l_back'"):
+            parse_calibration({"workers": "2", "alpha_s": "0", "byte_time_s": "0"})
+
+
+class TestCsvParsing:
+    @pytest.mark.parametrize(
+        "row,match",
+        [("d_sync,2,10", "line 2: expected 11 fields, got 3"),
+         ("d_sync,x,10,1,none,0,0,0,0,1,0.5", "line 2: invalid literal")],
+    )
+    def test_bad_breakdown_row(self, row, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_breakdown_csv(f"{BREAKDOWN_HEADER}\n{row}\n")
+
+    @pytest.mark.parametrize(
+        "row,match",
+        [("1,2.0", "line 3: expected 4 fields, got 2"),
+         ("1,2.0,nope,", "line 3: could not convert")],
+    )
+    def test_bad_metrics_row(self, row, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_metrics_csv(f"{METRICS_HEADER}\n\n{row}\n")
 
 
 class TestComparePrediction:
@@ -331,6 +399,40 @@ class TestCli:
         code = main(["run", "--workers", "0"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content,argv,names",
+        [
+            ("workers = four\n", ["run", "--config"], "workers"),
+            ("hidden = 5,x\n", ["run", "--config"], "hidden"),
+            (b"\xffworkers = 2\n", ["run", "--config"], "decode"),
+            ("workers = 2\nalpha_s = x\nbyte_time_s = 0\nl_back = 0\n",
+             ["predict", "--params"], "alpha_s"),
+            (METRICS_HEADER + "\n1,2.0\n", ["chart", "--out", "c", "--metrics"],
+             "line 2"),
+            (BREAKDOWN_HEADER + "\nd_sync,x,10,1,none,0,0,0,0,1,0.5\n",
+             ["chart", "--out", "c", "--breakdown"], "line 2"),
+            ("127.0.0.1:99999\n127.0.0.1:2\n",
+             ["run", "--transport", "tcp", "--workers", "2", "--roster"],
+             "roster line 1"),
+            (b"\x00\x00\x08\x03\x00\x00",
+             ["run", "--dataset", "mnist", "--mnist-labels", "x", "--mnist-images"],
+             "truncated IDX header"),
+        ],
+        ids=["config-int", "config-ints", "config-bytes", "calibration", "metrics",
+             "breakdown", "roster", "idx"],
+    )
+    def test_malformed_input_file_exit_code(self, tmp_path, capsys, monkeypatch,
+                                            content, argv, names):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "input"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and names in err
 
     def test_missing_roster_exit_code(self):
         assert main(["run", "--transport", "tcp"]) == 2

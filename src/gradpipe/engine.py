@@ -38,6 +38,7 @@ outgoing-traffic counters.
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import time
@@ -94,8 +95,8 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
             raise ConfigError("need at least one iteration")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning rate must be positive and finite")
         if self.mode == MODE_PIPE_SGD and self.depth < 2:
             raise ConfigError("pipelined training needs depth K >= 2")
         if self.batch_size < 1:
@@ -498,12 +499,19 @@ def run_inproc_cluster(
         )
         for r in range(world)
     ]
-    results: list[WorkerResult | None] = [None] * world
+    return run_rank_threads(world, lambda rank: ws[rank].run())
+
+
+def run_rank_threads(world: int, target) -> list:
+    """target(rank) on `world` threads named ``worker-<rank>``; the results
+    in rank order. The first failure is re-raised once all have joined.
+    """
+    results: list = [None] * world
     errors: list[BaseException] = []
 
-    def runner(idx: int) -> None:
+    def runner(rank: int) -> None:
         try:
-            results[idx] = ws[idx].run()
+            results[rank] = target(rank)
         except BaseException as err:
             errors.append(err)
 
@@ -525,7 +533,7 @@ def run_inproc_cluster(
         sys.setswitchinterval(old_interval)
     if errors:
         raise errors[0]
-    return [r for r in results if r is not None]
+    return results
 
 
 def run_tcp_worker(

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .collective import barrier
-from .compression import Codec, compress, decompress, payload_size
+from .collective import ring_allreduce
+from .compression import Codec, payload_size
 from .data import Dataset, load_idx_dataset, synthetic_blobs
 from .engine import (
     MODE_D_SYNC,
@@ -48,23 +48,21 @@ from .engine import (
     TraceEvent,
     WorkerResult,
     run_inproc_cluster,
+    run_rank_threads,
     run_tcp_worker,
 )
 from .errors import CodecError, ConfigError
 from .models import (
     ModelSpec,
-    backward_grad,
     evaluate_accuracy,
-    forward_loss,
     full_dataset_loss,
-    init_params,
     logistic_model,
     mlp_model,
-    sgd_update,
 )
 from .timing import (
     ClusterParams,
     StageTimes,
+    check_nonnegative,
     recommend_config,
     ring_comm_time,
     scaling_efficiency,
@@ -143,8 +141,7 @@ class ExperimentConfig:
             raise ConfigError("tcp transport needs a roster file")
         if self.clock not in (CLOCK_MONOTONIC, CLOCK_LOGICAL):
             raise ConfigError(f"unknown clock {self.clock!r}")
-        if self.inject_alpha_ms < 0 or self.inject_mbps < 0:
-            raise ConfigError("injected delays must be >= 0")
+        check_nonnegative(self, ("inject_alpha_ms", "inject_mbps", "synth_separation"))
 
     @property
     def latency_s(self) -> float:
@@ -472,79 +469,75 @@ def _summary_text(
 # -- calibration -----------------------------------------------------------
 
 
-def _median_seconds(fn, reps: int) -> float:
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
-
-
 def calibrate(
     config: ExperimentConfig, reps: int = 20, probe_bytes: int = 1 << 20
 ) -> tuple[StageTimes, ClusterParams]:
-    """Measure stage times and network parameters for the configured setup.
+    """Fit stage times and network parameters to the code a run executes.
 
-    Stage times are medians of `reps` timed executions on a real batch.
-    The latency probe times receives of tiny pre-sent messages; the
-    bandwidth probe times a large transfer and subtracts the latency.
-    The sync-time probe runs dissemination barriers across `workers`
-    threads. The reduction probe times one decode+add+encode hop per byte
-    for the configured codec.
+    Compute: one in-process d_sync run of `reps` iterations with the
+    configured workers, codec and injected delays; l_for, l_back and l_up
+    are rank 0's median forward, backward and update trace events, so
+    they carry the contention of p busy rank threads.
+
+    Network: ring_allreduce itself, timed `reps` times on rank 0 of p
+    rank threads over the configured codec and injected delays, for a
+    vector of about `probe_bytes` on the wire and one of the model's
+    size (plus a p-element vector when those coincide). A least-squares
+    line time = a + b * wire_bytes, clamped at 0, gives
+    alpha = a / 2(p-1) and beta = b / (2(p-1)/p). The fit folds codec,
+    reduction, copies and waiting for peers into alpha and beta, so
+    reduce_time_s and sync_time_s are 0.
     """
     dataset = build_dataset(config)
     model = build_model(config, dataset)
-    params0 = init_params(model, config.seed)
-    rng = np.random.default_rng(config.seed)
-    batch = rng.choice(dataset.num_samples, size=config.batch_size, replace=False)
-    grad = backward_grad(params0, model, dataset, batch)
-
-    l_for = _median_seconds(
-        lambda: forward_loss(params0, model, dataset, batch), reps
+    p = config.workers
+    run_cfg = replace(
+        config.run_config(), mode=MODE_D_SYNC, iterations=reps, eval_interval=0
     )
-    l_back = _median_seconds(
-        lambda: backward_grad(params0, model, dataset, batch), reps
+    trace = run_inproc_cluster(
+        p, run_cfg, dataset, model,
+        latency_s=config.latency_s, byte_time_s=config.byte_time_s,
+    )[0].trace
+    l_for, l_back, l_up = (
+        statistics.median(e.end_ns - e.start_ns for e in trace if e.stage == stage)
+        / 1e9
+        for stage in (STAGE_FORWARD, STAGE_BACKWARD, STAGE_UPDATE)
     )
-    l_up = _median_seconds(lambda: sgd_update(params0, grad, 0.05), reps)
-
-    # Point-to-point probes over a 2-endpoint transport with the same
-    # injected delays the run would use.
-    transport = InProcTransport(
-        2, latency_s=config.latency_s, byte_time_s=config.byte_time_s
-    )
-    sender, receiver = transport.endpoint(0), transport.endpoint(1)
-    ping_reps = max(reps, 20)
-    for _ in range(ping_reps):
-        sender.send(1, b"x")
-    alpha = _median_seconds(lambda: receiver.recv(0), ping_reps)
-
-    flood_reps = 5
-    blob = bytes(probe_bytes)
-    for _ in range(flood_reps):
-        sender.send(1, blob)
-    flood = _median_seconds(lambda: receiver.recv(0), flood_reps)
-    beta = max(0.0, (flood - alpha) / probe_bytes)
-
-    sync_s = _measure_barrier_time(config.workers, config.latency_s)
 
     codec = config.codec
-    n_bytes = payload_size(codec, model.num_params)
-    block = compress(grad, codec)
+    alpha = beta = 0.0
+    if p > 1:
+        sizes = {max(2 * p, probe_bytes // codec.bytes_per_elem), model.num_params}
+        if len(sizes) == 1:
+            sizes.add(p)
+        sizes = sorted(sizes)
+        vector = np.random.default_rng(config.seed).standard_normal(
+            sizes[-1], dtype=np.float32
+        )
+        transport = InProcTransport(p, config.latency_s, config.byte_time_s)
 
-    def reduce_hop() -> None:
-        compress(decompress(block) + grad, codec)
+        def ring_times(rank: int) -> list[float]:
+            endpoint = transport.endpoint(rank)
+            medians = []
+            for size in sizes:
+                samples = []
+                for _ in range(reps):
+                    t0 = time.perf_counter()
+                    ring_allreduce(vector[:size], rank, p, endpoint, codec)
+                    samples.append(time.perf_counter() - t0)
+                medians.append(statistics.median(samples))
+            return medians
 
-    gamma = _median_seconds(reduce_hop, reps) / max(1, n_bytes)
+        wire = [payload_size(codec, n) for n in sizes]
+        slope, intercept = np.polyfit(wire, run_rank_threads(p, ring_times)[0], 1)
+        alpha = max(0.0, float(intercept)) / (2 * (p - 1))
+        beta = max(0.0, float(slope)) / (2 * (p - 1) / p)
 
     cluster = ClusterParams(
-        workers=config.workers,
+        workers=p,
         latency_s=alpha,
         byte_time_s=beta,
-        reduce_time_s=gamma,
-        sync_time_s=sync_s,
-        model_bytes=float(n_bytes),
-        segments=1,
+        model_bytes=float(payload_size(codec, model.num_params)),
     )
     stages = StageTimes(
         update=l_up,
@@ -554,29 +547,6 @@ def calibrate(
         comm=ring_comm_time(cluster),
     )
     return stages, cluster
-
-
-def _measure_barrier_time(workers: int, latency_s: float, rounds: int = 30) -> float:
-    if workers < 2:
-        return 0.0
-    transport = InProcTransport(workers, latency_s=latency_s)
-    durations: list[float] = []
-    import threading
-
-    def loop(rank: int) -> None:
-        endpoint = transport.endpoint(rank)
-        for generation in range(rounds):
-            t0 = time.perf_counter()
-            barrier(rank, workers, endpoint, generation)
-            if rank == 0:
-                durations.append(time.perf_counter() - t0)
-
-    threads = [threading.Thread(target=loop, args=(r,)) for r in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return statistics.median(durations)
 
 
 def calibration_text(stages: StageTimes, cluster: ClusterParams) -> str:
@@ -677,6 +647,11 @@ def compare_prediction(
         predicted = predict_iteration_time(
             report.mode, report.depth, report.iterations, stages, cluster
         )
+        if not predicted > 0:
+            raise ConfigError(
+                f"calibration predicts {predicted} s per iteration for mode "
+                f"{report.mode}; nothing to compare against"
+            )
         rel = (report.iteration_wall_s - predicted) / predicted
         bound = (
             "communication"

@@ -8,6 +8,7 @@ ratio and a configuration recommendation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -16,6 +17,18 @@ SEQUENTIAL = "sequential"
 SEGMENTED = "segmented"
 COMPUTE_BOUND = "compute"
 COMM_BOUND = "communication"
+
+# Far above any cluster or segment count the model describes; it keeps the
+# int-to-float conversions in the cost formulas from overflowing.
+MAX_COUNT = 1 << 20
+
+
+def check_nonnegative(obj, names: tuple[str, ...]) -> None:
+    """ConfigError unless every named field of obj is finite and >= 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,9 +47,9 @@ class StageTimes:
     comm: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("update", "forward", "backward", "first_segment_backward", "comm"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"stage time {name} must be >= 0")
+        check_nonnegative(
+            self, ("update", "forward", "backward", "first_segment_backward", "comm")
+        )
         if self.first_segment_backward > self.backward:
             raise ConfigError(
                 "first-segment backward time cannot exceed the full backward time"
@@ -69,19 +82,13 @@ class ClusterParams:
     segments: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError("need at least one worker")
-        if self.segments < 1:
-            raise ConfigError("need at least one gradient segment")
-        for name in (
-            "latency_s",
-            "byte_time_s",
-            "reduce_time_s",
-            "sync_time_s",
-            "model_bytes",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        for name in ("workers", "segments"):
+            if not 1 <= getattr(self, name) <= MAX_COUNT:
+                raise ConfigError(f"{name} must be in 1..{MAX_COUNT}")
+        check_nonnegative(
+            self,
+            ("latency_s", "byte_time_s", "reduce_time_s", "sync_time_s", "model_bytes"),
+        )
 
 
 def t_sync_total(iterations: int, stages: StageTimes) -> float:

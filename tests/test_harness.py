@@ -1,4 +1,6 @@
 import math
+import statistics
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from gradpipe.charts import padded_bounds
 from gradpipe.cli import main
+from gradpipe.collective import ring_allreduce
 from gradpipe.compression import Codec
 from gradpipe.engine import RunConfig
 from gradpipe.errors import ConfigError
@@ -28,6 +31,7 @@ from gradpipe.harness import (
     run_experiment,
 )
 from gradpipe.timing import ClusterParams, StageTimes, ring_comm_time
+from helpers import run_ranks
 
 
 def tiny_config(**overrides):
@@ -86,6 +90,11 @@ class TestConfigParsing:
             tiny_config(clock="sundial")
         with pytest.raises(ConfigError):
             config_from_mapping({"mode": "who_knows"})
+        for key in ("learning_rate", "inject_alpha_ms", "inject_mbps",
+                    "synth_separation"):
+            for raw in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError, match=key.replace("_", ".")):
+                    config_from_mapping({key: raw})
 
     @pytest.mark.parametrize(
         "key,raw",
@@ -211,6 +220,32 @@ class TestCalibrate:
         assert abs(c1.latency_s - c2.latency_s) <= 0.2 * max(
             c1.latency_s, c2.latency_s
         )
+
+    @pytest.mark.parametrize(
+        "codec", [Codec.NONE, Codec.QUANT8], ids=["none", "quant8"]
+    )
+    def test_ring_fit_matches_measured_ring(self, codec):
+        # A logistic 8192x32 model: 262,176 parameters on the wire.
+        config = ExperimentConfig(
+            workers=2, iterations=1, batch_size=8, synth_dim=8192,
+            synth_classes=32, synth_samples=64, codec=codec,
+        )
+        _, cluster = calibrate(config, reps=10, probe_bytes=1 << 16)
+        vector = np.random.default_rng(1).standard_normal(
+            8192 * 32 + 32, dtype=np.float32
+        )
+
+        def timed(rank, endpoint):
+            samples = []
+            for _ in range(15):
+                t0 = time.perf_counter()
+                ring_allreduce(vector, rank, 2, endpoint, codec)
+                samples.append(time.perf_counter() - t0)
+            return statistics.median(samples)
+
+        measured = run_ranks(2, timed)[0]
+        predicted = ring_comm_time(cluster)
+        assert measured / 2 <= predicted <= measured * 2, (predicted, measured)
 
     def test_calibration_roundtrip_through_text(self):
         stages = StageTimes(
@@ -418,9 +453,11 @@ class TestCli:
             (b"\x00\x00\x08\x03\x00\x00",
              ["run", "--dataset", "mnist", "--mnist-labels", "x", "--mnist-images"],
              "truncated IDX header"),
+            ("workers = " + "9" * 400 + "\nalpha_s = 0\nbyte_time_s = 0\nl_back = 0\n",
+             ["predict", "--params"], "workers"),
         ],
         ids=["config-int", "config-ints", "config-bytes", "calibration", "metrics",
-             "breakdown", "roster", "idx"],
+             "breakdown", "roster", "idx", "calibration-overflow"],
     )
     def test_malformed_input_file_exit_code(self, tmp_path, capsys, monkeypatch,
                                             content, argv, names):
@@ -433,6 +470,20 @@ class TestCli:
         assert main([*argv, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and names in err
+
+    def test_zero_prediction_exit_code(self, tmp_path, capsys):
+        cal = tmp_path / "cal.cfg"
+        cal.write_text("workers = 1\nalpha_s = 0\nbyte_time_s = 0\nl_back = 0\n")
+        row = BreakdownReport(
+            mode="d_sync", workers=1, iterations=10, depth=1, codec="none",
+            update_s=0, compute_s=0, communicate_s=0, idle_s=0,
+            iteration_wall_s=0.01, final_accuracy=1.0,
+        )
+        measured = tmp_path / "b.csv"
+        measured.write_text(BREAKDOWN_HEADER + "\n" + row.csv_row() + "\n")
+        assert main(["compare", "--params", str(cal), "--measured", str(measured)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "d_sync" in err
 
     def test_missing_roster_exit_code(self):
         assert main(["run", "--transport", "tcp"]) == 2

@@ -265,6 +265,18 @@ class TestValidation:
             ClusterParams(workers=0)
         with pytest.raises(ConfigError):
             ClusterParams(workers=2, latency_s=-1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                StageTimes(update=bad)
+            with pytest.raises(ConfigError):
+                StageTimes(backward=bad, first_segment_backward=0.0)
+            for name in ("latency_s", "byte_time_s", "reduce_time_s",
+                         "sync_time_s", "model_bytes"):
+                with pytest.raises(ConfigError, match=name):
+                    ClusterParams(workers=2, **{name: bad})
+        for name in ("workers", "segments"):
+            with pytest.raises(ConfigError, match=name):
+                ClusterParams(**{"workers": 2, name: 10**400})
 
     def test_first_segment_cannot_exceed_backward(self):
         with pytest.raises(ConfigError):

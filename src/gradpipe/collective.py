@@ -9,17 +9,25 @@ block messages. Under a lossy codec each reduce-scatter hop receives a
 compressed block, decompresses, adds its local block, and re-encodes
 with a freshly computed scale before forwarding. The allgather phase
 forwards the fully reduced compressed blocks verbatim, so all ranks
-decode byte-identical payloads and return bit-identical results.
+decode byte-identical payloads and return bit-identical results; the
+owner of a block decodes its own encoding too, for the same reason.
 
 The parameter-server gather encodes each worker's whole vector once
 under the codec; the root adds the decoded vectors in rank order.
 Broadcast always sends raw float32, so replicas stay bit-identical.
 
+Every collective receives through one path, `_recv`: it waits for the
+next message from one peer, checks its type, iteration and block, and
+turns any failure into a CollectiveError that names the receiving rank,
+the iteration and the step. `_recv_block` adds the decode and the
+length check for the collectives that receive vectors.
+
 A hop copies as little as it can: a block is encoded straight into the
 buffer that goes on the wire, received payloads are memoryviews of the
 receive buffer, and under codec none a decoded block is a view of that
 buffer too. Such views are only ever added into, or copied into, an
-array the collective owns. Every array a collective returns owns its
+array the collective owns: the ring sums and gathers in place, in the
+one vector it returns. Every array a collective returns owns its
 writeable memory and shares none with any wire buffer, so a caller may
 modify it freely.
 """
@@ -36,7 +44,7 @@ from .compression import (
     serialize_block,
 )
 from .errors import CollectiveError, TransportError
-from .transport import Endpoint, MSG_BARRIER, MSG_DATA, Message
+from .transport import Buffer, Endpoint, MSG_BARRIER, MSG_DATA, Message
 
 
 def partition_blocks(n_elems: int, p: int) -> list[tuple[int, int]]:
@@ -56,28 +64,51 @@ def partition_blocks(n_elems: int, p: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _expect(
-    msg: Message, msg_type: int, iteration: int, block_index: int, context: str
-) -> None:
-    if (
-        msg.msg_type != msg_type
-        or msg.iteration != iteration
-        or msg.block_index != block_index
-    ):
-        raise CollectiveError(
-            f"{context}: expected type={msg_type} iter={iteration} "
-            f"block={block_index}, got type={msg.msg_type} iter={msg.iteration} "
-            f"block={msg.block_index}"
+def _error(endpoint: Endpoint, iteration: int, step: str, detail: object) -> CollectiveError:
+    return CollectiveError(f"rank {endpoint.rank}, iteration {iteration}, {step}: {detail}")
+
+
+def _recv(
+    endpoint: Endpoint, src: int, msg_type: int, iteration: int, block_index: int, step: str
+) -> Message:
+    """The next message from src, which must carry the given header."""
+    try:
+        msg = endpoint.recv(src)
+    except TransportError as err:
+        raise _error(endpoint, iteration, step, err) from err
+    if (msg.msg_type, msg.iteration, msg.block_index) != (msg_type, iteration, block_index):
+        raise _error(
+            endpoint, iteration, step,
+            f"expected type={msg_type} iter={iteration} block={block_index}, "
+            f"got type={msg.msg_type} iter={msg.iteration} block={msg.block_index}",
         )
+    return msg
 
 
-def _check_rank_args(local: np.ndarray, rank: int, p: int, endpoint: Endpoint) -> None:
+def _recv_block(
+    endpoint: Endpoint, src: int, iteration: int, block_index: int, n_elems: int, step: str
+) -> tuple[Buffer, np.ndarray]:
+    """The wire bytes and decoded values of the next block from src."""
+    wire = _recv(endpoint, src, MSG_DATA, iteration, block_index, step).payload
+    values = decompress(deserialize_block(wire))
+    if values.size != n_elems:
+        raise _error(
+            endpoint, iteration, step,
+            f"block {block_index} from rank {src} has {values.size} elems, "
+            f"expected {n_elems} (unequal vector lengths across ranks?)",
+        )
+    return wire, values
+
+
+def _check_rank_args(
+    rank: int, p: int, endpoint: Endpoint, vector: np.ndarray | None = None
+) -> None:
     if endpoint.rank != rank or endpoint.world_size != p:
         raise CollectiveError(
             f"endpoint is rank {endpoint.rank}/{endpoint.world_size}, "
             f"caller claims {rank}/{p}"
         )
-    if local.ndim != 1:
+    if vector is not None and vector.ndim != 1:
         raise CollectiveError("collectives operate on 1-D vectors")
 
 
@@ -90,71 +121,36 @@ def ring_allreduce(
     iteration: int = 0,
 ) -> np.ndarray:
     """Elementwise sum of all ranks' vectors, identical on every rank."""
-    _check_rank_args(local, rank, p, endpoint)
-    if p == 1:
-        return np.array(local, dtype=np.float32, copy=True)
-    succ, pred = (rank + 1) % p, (rank - 1) % p
-
-    def recv(context: str) -> Message:
-        try:
-            return endpoint.recv(pred)
-        except TransportError as err:
-            raise CollectiveError(f"{context}: {err}") from err
-
-    blocks = partition_blocks(local.size, p)
+    _check_rank_args(rank, p, endpoint, local)
     acc = np.array(local, dtype=np.float32, copy=True)
+    if p == 1:
+        return acc
+    succ, pred = (rank + 1) % p, (rank - 1) % p
+    views = [acc[off : off + length] for off, length in partition_blocks(acc.size, p)]
 
-    def block_view(i: int) -> np.ndarray:
-        off, length = blocks[i]
-        return acc[off : off + length]
+    def recv_block(idx: int, step: str) -> tuple[Buffer, np.ndarray]:
+        return _recv_block(endpoint, pred, iteration, idx, views[idx].size, step)
 
     # Reduce-scatter: each received block is decoded, summed with the
     # local block, and re-encoded for the next hop.
     for step in range(p - 1):
-        send_idx = (rank - step) % p
-        recv_idx = (rank - step - 1) % p
-        endpoint.send(
-            succ,
-            serialize_block(compress(block_view(send_idx), codec)),
-            MSG_DATA,
-            iteration,
-            send_idx,
-        )
-        msg = recv(f"reduce-scatter step {step} (rank {rank} <- {pred})")
-        _expect(msg, MSG_DATA, iteration, recv_idx, f"reduce-scatter step {step}")
-        incoming = decompress(deserialize_block(msg.payload))
-        if incoming.size != blocks[recv_idx][1]:
-            raise CollectiveError(
-                f"reduce-scatter step {step}: block {recv_idx} has "
-                f"{incoming.size} elems, expected {blocks[recv_idx][1]} "
-                "(unequal vector lengths across ranks?)"
-            )
-        block_view(recv_idx)[:] += incoming
+        send_idx, recv_idx = (rank - step) % p, (rank - step - 1) % p
+        wire = serialize_block(compress(views[send_idx], codec))
+        endpoint.send(succ, wire, MSG_DATA, iteration, send_idx)
+        _, incoming = recv_block(recv_idx, f"reduce-scatter step {step}")
+        views[recv_idx] += incoming
 
     # Allgather: the owner encodes its fully reduced block once; everyone
-    # forwards that encoding verbatim and decodes the same bytes.
-    out = np.empty_like(acc)
+    # forwards that encoding verbatim and decodes the same bytes into acc.
     own_idx = (rank + 1) % p
-    wire = serialize_block(compress(block_view(own_idx), codec))
-    off, length = blocks[own_idx]
-    out[off : off + length] = decompress(deserialize_block(wire))
-
+    wire = serialize_block(compress(views[own_idx], codec))
+    views[own_idx][:] = decompress(deserialize_block(wire))
     for step in range(p - 1):
-        send_idx = (rank + 1 - step) % p
-        recv_idx = (rank - step) % p
+        send_idx, recv_idx = (rank + 1 - step) % p, (rank - step) % p
         endpoint.send(succ, wire, MSG_DATA, iteration, send_idx)
-        msg = recv(f"allgather step {step} (rank {rank} <- {pred})")
-        _expect(msg, MSG_DATA, iteration, recv_idx, f"allgather step {step}")
-        wire = msg.payload
-        incoming = decompress(deserialize_block(wire))
-        off, length = blocks[recv_idx]
-        if incoming.size != length:
-            raise CollectiveError(
-                f"allgather step {step}: block {recv_idx} has {incoming.size} "
-                f"elems, expected {length}"
-            )
-        out[off : off + length] = incoming
-    return out
+        wire, incoming = recv_block(recv_idx, f"allgather step {step}")
+        views[recv_idx][:] = incoming
+    return acc
 
 
 def gather_to_root(
@@ -171,34 +167,16 @@ def gather_to_root(
     Each non-root vector travels encoded under `codec`; the root's own
     vector never leaves it and is summed as is.
     """
-    _check_rank_args(local, rank, p, endpoint)
+    _check_rank_args(rank, p, endpoint, local)
     if p == 1:
         return np.array(local, dtype=np.float32, copy=True)
     if rank != root:
-        endpoint.send(
-            root,
-            serialize_block(compress(local, codec)),
-            MSG_DATA,
-            iteration,
-            0,
-        )
+        endpoint.send(root, serialize_block(compress(local, codec)), MSG_DATA, iteration, 0)
         return None
     acc = np.array(local, dtype=np.float32, copy=True)
     for src in range(p):  # fixed rank order keeps the sum deterministic
-        if src == root:
-            continue
-        try:
-            msg = endpoint.recv(src)
-        except TransportError as err:
-            raise CollectiveError(f"gather: waiting for rank {src}: {err}") from err
-        _expect(msg, MSG_DATA, iteration, 0, f"gather from rank {src}")
-        contribution = decompress(deserialize_block(msg.payload))
-        if contribution.size != acc.size:
-            raise CollectiveError(
-                f"gather: rank {src} sent {contribution.size} elems, "
-                f"expected {acc.size}"
-            )
-        acc += contribution
+        if src != root:
+            acc += _recv_block(endpoint, src, iteration, 0, acc.size, f"gather from rank {src}")[1]
     return acc
 
 
@@ -211,37 +189,28 @@ def broadcast_from_root(
     iteration: int = 0,
 ) -> np.ndarray:
     """Bit-exact copy of the root's vector on every rank."""
-    if endpoint.rank != rank or endpoint.world_size != p:
-        raise CollectiveError("endpoint does not match caller's rank/size")
-    if rank == root:
-        if value is None:
-            raise CollectiveError("broadcast root has no value")
-        value = np.ascontiguousarray(value, dtype=np.float32)
-        wire = serialize_block(compress(value, Codec.NONE))
-        for dst in range(p):
-            if dst != root:
-                endpoint.send(dst, wire, MSG_DATA, iteration, 0)
-        return value.copy()
-    try:
-        msg = endpoint.recv(root)
-    except TransportError as err:
-        raise CollectiveError(f"broadcast: waiting for root {root}: {err}") from err
-    _expect(msg, MSG_DATA, iteration, 0, "broadcast")
-    return decompress(deserialize_block(msg.payload)).copy()
+    _check_rank_args(rank, p, endpoint)
+    if rank != root:
+        msg = _recv(endpoint, root, MSG_DATA, iteration, 0, f"broadcast from root {root}")
+        return decompress(deserialize_block(msg.payload)).copy()
+    if value is None:
+        raise _error(endpoint, iteration, "broadcast", "root has no value")
+    value = np.ascontiguousarray(value, dtype=np.float32)
+    wire = serialize_block(compress(value, Codec.NONE))
+    for dst in range(p):
+        if dst != root:
+            endpoint.send(dst, wire, MSG_DATA, iteration, 0)
+    return value.copy()
 
 
 def barrier(rank: int, p: int, endpoint: Endpoint, generation: int = 0) -> None:
     """Dissemination barrier: no rank returns before all have entered."""
-    if endpoint.rank != rank or endpoint.world_size != p:
-        raise CollectiveError("endpoint does not match caller's rank/size")
+    _check_rank_args(rank, p, endpoint)
     distance = 1
     while distance < p:
         endpoint.send((rank + distance) % p, b"", MSG_BARRIER, generation, distance)
-        try:
-            msg = endpoint.recv((rank - distance) % p)
-        except TransportError as err:
-            raise CollectiveError(
-                f"barrier distance {distance}: {err}"
-            ) from err
-        _expect(msg, MSG_BARRIER, generation, distance, "barrier")
+        _recv(
+            endpoint, (rank - distance) % p, MSG_BARRIER, generation, distance,
+            f"barrier distance {distance}",
+        )
         distance *= 2

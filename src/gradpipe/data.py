@@ -64,6 +64,9 @@ def synthetic_blobs(
     Class centers are mutually orthogonal directions scaled so neighboring
     centers sit `separation` noise-sigmas apart.
     """
+    for name, size in (("dim", dim), ("num_classes", num_classes), ("num_samples", num_samples)):
+        if size < 1:
+            raise ConfigError(f"synthetic {name} must be >= 1, got {size}")
     if num_classes > dim:
         raise ConfigError("need dim >= num_classes for orthogonal centers")
     rng = np.random.default_rng(seed)

@@ -117,18 +117,13 @@ def _unpack(params: np.ndarray, model: ModelSpec) -> list[np.ndarray]:
 
 def _forward_logits(
     x: np.ndarray, params: np.ndarray, model: ModelSpec
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits plus per-layer pre-activations (needed by backward)."""
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Logits, each layer's input, and the unpacked W/b blocks (for backward)."""
     blocks = _unpack(params, model)
-    pre_acts = []
-    act = x
-    n_layers = len(blocks) // 2
-    for i in range(n_layers):
-        w, b = blocks[2 * i], blocks[2 * i + 1]
-        z = act @ w + b
-        pre_acts.append(z)
-        act = np.maximum(z, 0.0) if i < n_layers - 1 else z
-    return act, pre_acts
+    acts = [x]
+    for w, b in zip(blocks[:-2:2], blocks[1:-2:2]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts[-1] @ blocks[-2] + blocks[-1], acts, blocks
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -157,7 +152,7 @@ def forward_loss(
 ) -> float:
     """Mean softmax cross-entropy of the batch."""
     x, y = _batch_arrays(data, batch, model)
-    logits, _ = _forward_logits(x, params, model)
+    logits, _, _ = _forward_logits(x, params, model)
     logp = _log_softmax(logits)
     return float(-logp[np.arange(len(y)), y].mean())
 
@@ -167,18 +162,12 @@ def backward_grad(
 ) -> np.ndarray:
     """Gradient of the mean batch loss w.r.t. the flat parameter vector."""
     x, y = _batch_arrays(data, batch, model)
-    logits, pre_acts = _forward_logits(x, params, model)
+    logits, acts, blocks = _forward_logits(x, params, model)
     probs = np.exp(_log_softmax(logits))
     probs[np.arange(len(y)), y] -= 1.0
     delta = probs / len(y)
 
-    blocks = _unpack(params, model)
     n_layers = len(blocks) // 2
-    # Re-derive forward activations (inputs to each layer) from pre_acts.
-    acts = [x]
-    for i in range(n_layers - 1):
-        acts.append(np.maximum(pre_acts[i], 0.0))
-
     grad = np.empty(model.num_params, dtype=GRAD_DTYPE)
     layout = model.param_blocks()
     for i in range(n_layers - 1, -1, -1):
@@ -189,7 +178,8 @@ def backward_grad(
         grad[w_off : w_off + gw.size] = gw.reshape(-1).astype(GRAD_DTYPE)
         grad[b_off : b_off + gb.size] = gb.astype(GRAD_DTYPE)
         if i > 0:
-            delta = (delta @ blocks[2 * i].T) * (pre_acts[i - 1] > 0.0)
+            # acts[i] is layer i-1's ReLU output, so > 0 is its derivative mask.
+            delta = (delta @ blocks[2 * i].T) * (acts[i] > 0.0)
     if not np.isfinite(grad).all():
         raise ConfigError("non-finite gradient (diverging parameters?)")
     return grad
@@ -206,9 +196,7 @@ def sgd_update(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
 
 def evaluate_accuracy(params: np.ndarray, model: ModelSpec, data: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
-    logits, _ = _forward_logits(
-        data.features.astype(np.float64), params, model
-    )
+    logits, _, _ = _forward_logits(data.features.astype(np.float64), params, model)
     pred = np.argmax(logits, axis=1)
     return float((pred == data.labels).mean())
 

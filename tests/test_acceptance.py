@@ -245,9 +245,10 @@ def test_criterion_5_gradient_correctness():
     while checks["mlp"] < 100:
         params = rng.normal(0, 0.6, model_mlp.num_params).astype(np.float32)
         batch = rng.choice(120, size=4, replace=False)
-        _, pre = _forward_logits(
+        _, acts, blocks = _forward_logits(
             data_mlp.features[batch].astype(np.float64), params, model_mlp
         )
+        pre = [a @ w + b for a, w, b in zip(acts, blocks[::2], blocks[1::2])]
         if min(np.abs(p).min() for p in pre[:-1]) < 5e-3:
             continue  # finite differences straddle a ReLU kink
         analytic = backward_grad(params, model_mlp, data_mlp, batch)

@@ -14,11 +14,19 @@ from gradpipe.collective import (
     partition_blocks,
     ring_allreduce,
 )
-from gradpipe.compression import Codec, compress, decompress, payload_size
+from gradpipe.compression import (
+    Codec,
+    compress,
+    decompress,
+    payload_size,
+    serialize_block,
+)
 from gradpipe.errors import CollectiveError, TransportError
 from gradpipe.transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
+    MSG_BARRIER,
+    MSG_DATA,
     InProcTransport,
     TcpEndpoint,
 )
@@ -425,3 +433,72 @@ class TestOwnedResults:
                 assert out.flags.writeable
                 for other in everything:
                     assert not np.shares_memory(out, other)
+
+
+# Receive sites at p=2 with an 8-element vector, keyed by site. Each
+# entry: the rank that detects the fault, the rank whose messages are
+# faked, the detecting rank's call, the messages that reach the site
+# intact and then the one it expects, each as (msg_type, block_index,
+# n_elems or None for an empty payload), and the step the error names.
+_ITER = 5
+_ONES = np.ones(8, np.float32)
+_SITES = {
+    "reduce-scatter": (
+        0, 1, lambda ep: ring_allreduce(_ONES, 0, 2, ep, iteration=_ITER),
+        [], (MSG_DATA, 1, 4), "reduce-scatter step 0",
+    ),
+    "allgather": (
+        0, 1, lambda ep: ring_allreduce(_ONES, 0, 2, ep, iteration=_ITER),
+        [(MSG_DATA, 1, 4)], (MSG_DATA, 0, 4), "allgather step 0",
+    ),
+    "gather": (
+        0, 1, lambda ep: gather_to_root(_ONES, 0, 0, 2, ep, iteration=_ITER),
+        [], (MSG_DATA, 0, 8), "gather from rank 1",
+    ),
+    "broadcast": (
+        1, 0, lambda ep: broadcast_from_root(None, 0, 1, 2, ep, iteration=_ITER),
+        [], (MSG_DATA, 0, None), "broadcast from root 0",
+    ),
+    "barrier": (
+        0, 1, lambda ep: barrier(0, 2, ep, generation=_ITER),
+        [], (MSG_BARRIER, 1, None), "barrier distance 1",
+    ),
+}
+# What each cause does to the expected message, and what the error says.
+_CAUSES = {
+    "silent": (None, "timed out waiting for rank"),
+    "iteration": (lambda t, b, n: (t, b, n, _ITER + 1), f"got type=\\d+ iter={_ITER + 1} "),
+    "length": (lambda t, b, n: (t, b, n - 1, _ITER), "elems, expected"),
+}
+# Broadcast and barrier receive no vector whose length they could check.
+_FAULTS = [
+    (site, cause)
+    for site, entry in _SITES.items()
+    for cause in _CAUSES
+    if cause != "length" or entry[4][2] is not None
+]
+
+
+def _fake_send(endpoint, dst, msg_type, block_index, n_elems, iteration):
+    payload = b"" if n_elems is None else serialize_block(
+        compress(np.ones(n_elems, np.float32), Codec.NONE)
+    )
+    endpoint.send(dst, payload, msg_type, iteration, block_index)
+
+
+class TestReceiveFaults:
+    """Every receive site fails with a CollectiveError that names the
+    detecting rank, the iteration and the step."""
+
+    @pytest.mark.parametrize("site,cause", _FAULTS, ids=["-".join(f) for f in _FAULTS])
+    def test_fault_names_rank_iteration_step(self, site, cause):
+        rank, peer, call, intact, expected, step = _SITES[site]
+        corrupt, says = _CAUSES[cause]
+        transport = InProcTransport(2, timeout_s=0.2)
+        fake = transport.endpoint(peer)
+        for msg in intact:
+            _fake_send(fake, rank, *msg, _ITER)
+        if corrupt is not None:
+            _fake_send(fake, rank, *corrupt(*expected))
+        with pytest.raises(CollectiveError, match=f"^rank {rank}, iteration {_ITER}, {step}: .*{says}"):
+            call(transport.endpoint(rank))

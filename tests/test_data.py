@@ -100,6 +100,16 @@ class TestSyntheticBlobs:
         with pytest.raises(ConfigError):
             synthetic_blobs(dim=2, num_classes=5, num_samples=10)
 
+    @pytest.mark.parametrize(
+        "name,size",
+        [("dim", 0), ("dim", -3), ("num_classes", 0), ("num_classes", -2),
+         ("num_samples", 0), ("num_samples", -5)],
+    )
+    def test_size_below_one(self, name, size):
+        sizes = {"dim": 4, "num_classes": 2, "num_samples": 10, name: size}
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {size}"):
+            synthetic_blobs(**sizes)
+
 
 class TestSampling:
     def test_full_draw_is_permutation(self):

@@ -455,9 +455,13 @@ class TestCli:
              "truncated IDX header"),
             ("workers = " + "9" * 400 + "\nalpha_s = 0\nbyte_time_s = 0\nl_back = 0\n",
              ["predict", "--params"], "workers"),
+            ("synth_samples = -5\n", ["run", "--config"], "num_samples"),
+            ("synth_classes = -2\n", ["run", "--config"], "num_classes"),
+            ("synth_classes = 0\n", ["run", "--config"], "num_classes"),
         ],
         ids=["config-int", "config-ints", "config-bytes", "calibration", "metrics",
-             "breakdown", "roster", "idx", "calibration-overflow"],
+             "breakdown", "roster", "idx", "calibration-overflow", "synth-samples",
+             "synth-classes", "synth-classes-zero"],
     )
     def test_malformed_input_file_exit_code(self, tmp_path, capsys, monkeypatch,
                                             content, argv, names):

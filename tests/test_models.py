@@ -151,9 +151,10 @@ class TestBackwardGrad:
             # Finite differences need pre-activations clear of the ReLU kink.
             from gradpipe.models import _forward_logits
 
-            _, pre = _forward_logits(
+            _, acts, blocks = _forward_logits(
                 data.features[batch].astype(np.float64), params, model
             )
+            pre = [a @ w + b for a, w, b in zip(acts, blocks[::2], blocks[1::2])]
             if min(np.abs(p).min() for p in pre[:-1]) < 5e-3:
                 continue
             analytic = backward_grad(params, model, data, batch)

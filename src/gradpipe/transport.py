@@ -4,9 +4,14 @@ Both transports present the same endpoint interface: ``send(dst, ...)``
 and a blocking ``recv(src)`` with FIFO, exactly-once delivery per
 (src, dst) channel. Synthetic network conditions are modeled by an
 optional per-message latency (seconds) and per-byte transfer time
-(seconds/byte) applied as a sleep at the receiver after dequeue, which
-makes one ring step cost latency + bytes * byte_time on top of real
-overheads.
+(seconds/byte): a message is ready latency + bytes * byte_time after
+its transfer starts, and the receiver sleeps until then after dequeue.
+A receiver's inbound link carries one message at a time, so a transfer
+starts when the message is sent (in-process; on TCP, when its frame
+has been read) or when the link's previous message is ready, whichever
+is later. One ring step then costs latency + bytes * byte_time on top
+of real overheads, and a peer that sent early does not pay its wait
+again as latency.
 
 Every endpoint counts its outgoing data traffic: message count, codec
 payload bytes (excluding the 9-byte block header), and framed bytes.
@@ -59,6 +64,7 @@ class Message:
     iteration: int
     block_index: int
     payload: Buffer
+    sent_at: float | None = None  # time.perf_counter() at send, in-process only
 
 
 @dataclass
@@ -93,6 +99,8 @@ class Endpoint:
         self.timeout_s = timeout_s
         self.stats = TrafficStats()
         self._stats_lock = threading.Lock()
+        self._link_free_at = 0.0  # when the inbound link's last message is ready
+        self._link_lock = threading.Lock()
 
     def _count_send(self, msg_type: int, payload: Buffer) -> None:
         if msg_type != MSG_DATA:
@@ -102,10 +110,16 @@ class Endpoint:
             self.stats.payload_bytes += max(0, len(payload) - HEADER_BYTES)
             self.stats.frame_bytes += FRAME_HEADER.size + len(payload)
 
-    def _injected_delay(self, payload: Buffer) -> None:
+    def _injected_delay(self, payload: Buffer, sent_at: float | None = None) -> None:
         delay = self.latency_s + len(payload) * self.byte_time_s
-        if delay > 0:
-            time.sleep(delay)
+        if delay <= 0:
+            return
+        now = time.perf_counter()
+        with self._link_lock:
+            start = max(now if sent_at is None else sent_at, self._link_free_at)
+            ready = self._link_free_at = start + delay
+        if ready > now:
+            time.sleep(ready - now)
 
     # subclasses implement send / recv / close
     def send(
@@ -137,7 +151,7 @@ class InProcEndpoint(Endpoint):
             raise TransportError(f"rank {self.rank}: bad destination {dst}")
         self._count_send(msg_type, payload)
         self._transport.queues[(self.rank, dst)].put(
-            Message(msg_type, iteration, block_index, payload)
+            Message(msg_type, iteration, block_index, payload, time.perf_counter())
         )
 
     def recv(self, src):
@@ -149,7 +163,7 @@ class InProcEndpoint(Endpoint):
             raise TransportError(
                 f"rank {self.rank}: timed out waiting for rank {src}"
             ) from None
-        self._injected_delay(msg.payload)
+        self._injected_delay(msg.payload, msg.sent_at)
         return msg
 
 

@@ -20,7 +20,8 @@ Every collective receives through one path, `_recv`: it waits for the
 next message from one peer, checks its type, iteration and block, and
 turns any failure into a CollectiveError that names the receiving rank,
 the iteration and the step. `_recv_block` adds the decode and the
-length check for the collectives that receive vectors.
+length check for the collectives that receive vectors; a block that
+does not decode fails the same way.
 
 A hop copies as little as it can: a block is encoded straight into the
 buffer that goes on the wire, received payloads are memoryviews of the
@@ -43,7 +44,7 @@ from .compression import (
     deserialize_block,
     serialize_block,
 )
-from .errors import CollectiveError, TransportError
+from .errors import CodecError, CollectiveError, TransportError
 from .transport import Buffer, Endpoint, MSG_BARRIER, MSG_DATA, Message
 
 
@@ -90,7 +91,12 @@ def _recv_block(
 ) -> tuple[Buffer, np.ndarray]:
     """The wire bytes and decoded values of the next block from src."""
     wire = _recv(endpoint, src, MSG_DATA, iteration, block_index, step).payload
-    values = decompress(deserialize_block(wire))
+    try:
+        values = decompress(deserialize_block(wire))
+    except CodecError as err:
+        raise _error(
+            endpoint, iteration, step, f"block {block_index} from rank {src}: {err}"
+        ) from err
     if values.size != n_elems:
         raise _error(
             endpoint, iteration, step,

@@ -1,6 +1,7 @@
-"""Shared helpers for the tests: in-process rank groups and the engine's
-batch sequence."""
+"""Shared helpers for the tests: in-process rank groups, free loopback
+ports and the engine's batch sequence."""
 
+import socket
 import threading
 
 import numpy as np
@@ -29,6 +30,20 @@ def run_ranks(p, fn, latency_s=0.0, byte_time_s=0.0, timeout_s=10.0):
     if errors:
         raise errors[0]
     return results
+
+
+def free_ports(count):
+    """count loopback ports that were free a moment ago."""
+    socks = []
+    ports = []
+    for _ in range(count):
+        s = socket.socket()
+        s.bind(("127.0.0.1", 0))
+        ports.append(s.getsockname()[1])
+        socks.append(s)
+    for s in socks:
+        s.close()
+    return ports
 
 
 def assert_sum_close(out, want, rtol=1e-6):

@@ -30,7 +30,7 @@ from gradpipe.transport import (
     InProcTransport,
     TcpEndpoint,
 )
-from helpers import assert_sum_close, run_ranks
+from helpers import assert_sum_close, free_ports, run_ranks
 
 
 def random_inputs(p, n, seed):
@@ -237,21 +237,8 @@ class TestBarrier:
         assert all(run_ranks(4, op))
 
 
-def _free_ports(count):
-    socks = []
-    ports = []
-    for _ in range(count):
-        s = socket.socket()
-        s.bind(("127.0.0.1", 0))
-        ports.append(s.getsockname()[1])
-        socks.append(s)
-    for s in socks:
-        s.close()
-    return ports
-
-
 def run_tcp_ranks(p, fn, timeout_s=10.0, latency_s=0.0):
-    roster = [("127.0.0.1", port) for port in _free_ports(p)]
+    roster = [("127.0.0.1", port) for port in free_ports(p)]
     results = [None] * p
     errors = []
 
@@ -339,7 +326,7 @@ class TestTcpTransport:
         "claims", [[7], [0], [1, 1]], ids=["out-of-range", "own-rank", "duplicate"]
     )
     def test_bad_inbound_peer_rejected(self, claims):
-        roster = [("127.0.0.1", port) for port in _free_ports(3)]
+        roster = [("127.0.0.1", port) for port in free_ports(3)]
         peers = [
             threading.Thread(target=_raw_peer, args=(roster[0], struct.pack("<I", c)))
             for c in claims
@@ -376,7 +363,7 @@ def _raw_peer(addr, data):
 def _endpoint_facing_raw_peer(frame):
     """Rank 0 of a 2-rank mesh whose rank 1 is a raw socket that completes
     the rank handshake and then sends `frame`."""
-    roster = [("127.0.0.1", port) for port in _free_ports(2)]
+    roster = [("127.0.0.1", port) for port in free_ports(2)]
     peer = threading.Thread(
         target=_raw_peer, args=(roster[0], struct.pack("<I", 1) + frame)
     )
@@ -469,20 +456,25 @@ _CAUSES = {
     "silent": (None, "timed out waiting for rank"),
     "iteration": (lambda t, b, n: (t, b, n, _ITER + 1), f"got type=\\d+ iter={_ITER + 1} "),
     "length": (lambda t, b, n: (t, b, n - 1, _ITER), "elems, expected"),
+    "corrupt": (lambda t, b, n: (t, b, b"\x00\x01\x02", _ITER), "shorter than header"),
 }
-# Broadcast and barrier receive no vector whose length they could check.
+# Broadcast and barrier receive no vector they could check or decode.
 _FAULTS = [
     (site, cause)
     for site, entry in _SITES.items()
     for cause in _CAUSES
-    if cause != "length" or entry[4][2] is not None
+    if cause not in ("length", "corrupt") or entry[4][2] is not None
 ]
 
 
-def _fake_send(endpoint, dst, msg_type, block_index, n_elems, iteration):
-    payload = b"" if n_elems is None else serialize_block(
-        compress(np.ones(n_elems, np.float32), Codec.NONE)
-    )
+def _fake_send(endpoint, dst, msg_type, block_index, body, iteration):
+    """Send an empty payload (body None), a block of `body` ones, or raw bytes."""
+    if isinstance(body, bytes):
+        payload = body
+    else:
+        payload = b"" if body is None else serialize_block(
+            compress(np.ones(body, np.float32), Codec.NONE)
+        )
     endpoint.send(dst, payload, msg_type, iteration, block_index)
 
 

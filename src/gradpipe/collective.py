@@ -28,7 +28,8 @@ buffer that goes on the wire, received payloads are memoryviews of the
 receive buffer, and under codec none a decoded block is a view of that
 buffer too. Such views are only ever added into, or copied into, an
 array the collective owns: the ring sums and gathers in place, in the
-one vector it returns. Every array a collective returns owns its
+one vector it returns, and its allgather decodes every block straight
+into that vector. Every array a collective returns owns its
 writeable memory and shares none with any wire buffer, so a caller may
 modify it freely.
 """
@@ -87,23 +88,32 @@ def _recv(
 
 
 def _recv_block(
-    endpoint: Endpoint, src: int, iteration: int, block_index: int, n_elems: int, step: str
+    endpoint: Endpoint,
+    src: int,
+    iteration: int,
+    block_index: int,
+    n_elems: int,
+    step: str,
+    out: np.ndarray | None = None,
 ) -> tuple[Buffer, np.ndarray]:
-    """The wire bytes and decoded values of the next block from src."""
+    """The wire bytes and decoded values of the next block from src.
+
+    With `out` the values are decoded straight into it.
+    """
     wire = _recv(endpoint, src, MSG_DATA, iteration, block_index, step).payload
     try:
-        values = decompress(deserialize_block(wire))
+        block = deserialize_block(wire)
+        if block.n_elems != n_elems:
+            raise _error(
+                endpoint, iteration, step,
+                f"block {block_index} from rank {src} has {block.n_elems} elems, "
+                f"expected {n_elems} (unequal vector lengths across ranks?)",
+            )
+        return wire, decompress(block, out=out)
     except CodecError as err:
         raise _error(
             endpoint, iteration, step, f"block {block_index} from rank {src}: {err}"
         ) from err
-    if values.size != n_elems:
-        raise _error(
-            endpoint, iteration, step,
-            f"block {block_index} from rank {src} has {values.size} elems, "
-            f"expected {n_elems} (unequal vector lengths across ranks?)",
-        )
-    return wire, values
 
 
 def _check_rank_args(
@@ -134,8 +144,10 @@ def ring_allreduce(
     succ, pred = (rank + 1) % p, (rank - 1) % p
     views = [acc[off : off + length] for off, length in partition_blocks(acc.size, p)]
 
-    def recv_block(idx: int, step: str) -> tuple[Buffer, np.ndarray]:
-        return _recv_block(endpoint, pred, iteration, idx, views[idx].size, step)
+    def recv_block(
+        idx: int, step: str, out: np.ndarray | None = None
+    ) -> tuple[Buffer, np.ndarray]:
+        return _recv_block(endpoint, pred, iteration, idx, views[idx].size, step, out)
 
     # Reduce-scatter: each received block is decoded, summed with the
     # local block, and re-encoded for the next hop.
@@ -150,12 +162,11 @@ def ring_allreduce(
     # forwards that encoding verbatim and decodes the same bytes into acc.
     own_idx = (rank + 1) % p
     wire = serialize_block(compress(views[own_idx], codec))
-    views[own_idx][:] = decompress(deserialize_block(wire))
+    decompress(deserialize_block(wire), out=views[own_idx])
     for step in range(p - 1):
         send_idx, recv_idx = (rank + 1 - step) % p, (rank - step) % p
         endpoint.send(succ, wire, MSG_DATA, iteration, send_idx)
-        wire, incoming = recv_block(recv_idx, f"allgather step {step}")
-        views[recv_idx][:] = incoming
+        wire, _ = recv_block(recv_idx, f"allgather step {step}", views[recv_idx])
     return acc
 
 

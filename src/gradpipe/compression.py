@@ -38,6 +38,7 @@ on the max/min reduction that max|v| needs anyway.
 Encoding writes header and payload into one buffer, so serializing an
 encoded block copies nothing; deserializing returns a memoryview of the
 received bytes, and decoding ``none`` returns a view of the payload.
+Decoding can also write straight into a caller's vector (``out=``).
 
 Wire layout of a serialized block (little-endian):
 u8 codec tag | u32 n_elems | f32 scale | payload bytes.
@@ -211,20 +212,33 @@ def compress(vec: np.ndarray, codec: Codec) -> CompressedBlock:
     return CompressedBlock(codec, vec.size, scale, wire[HEADER_BYTES:], wire)
 
 
-def decompress(block: CompressedBlock) -> np.ndarray:
+def decompress(block: CompressedBlock, out: np.ndarray | None = None) -> np.ndarray:
     """Reconstruct the float32 vector a block encodes.
 
-    Under codec none the result is a view of the payload, not a copy;
-    the lossy codecs return a new array.
+    With `out` (a contiguous float32 vector of the block's length) the
+    values are written into it and `out` is returned. Without it, codec
+    none returns a view of the payload, not a copy, and the lossy codecs
+    return a new array.
     """
+    if out is not None and (out.dtype != np.float32 or out.shape != (block.n_elems,)):
+        raise CodecError(
+            f"out is {out.dtype} {out.shape}, block has {block.n_elems} float32 elems"
+        )
     if block.codec == Codec.NONE:
-        return np.frombuffer(block.payload, dtype="<f4")
+        values = np.frombuffer(block.payload, dtype="<f4")
+        if out is None:
+            return values
+        out[:] = values
+        return out
     if block.codec == Codec.TRUNC16:
         half = np.frombuffer(block.payload, dtype="<u2")
-        return np.left_shift(half, 16, dtype=np.uint32).view(np.float32)
+        if out is None:
+            return np.left_shift(half, 16, dtype=np.uint32).view(np.float32)
+        np.left_shift(half, 16, out=out.view(np.uint32), dtype=np.uint32)
+        return out
     if block.codec == Codec.QUANT8:
         codes = np.frombuffer(block.payload, dtype=np.int8)
-        return np.multiply(codes, np.float32(block.scale), dtype=np.float32)
+        return np.multiply(codes, np.float32(block.scale), out=out, dtype=np.float32)
     raise CodecError(f"unknown codec {block.codec!r}")
 
 

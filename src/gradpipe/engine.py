@@ -123,7 +123,7 @@ def aggregate_mean(total: np.ndarray, p: int) -> np.ndarray:
         raise ConfigError("worker count must be >= 1")
     if p == 1:
         return total
-    return (total / np.float32(p)).astype(np.float32)
+    return (total / np.float32(p)).astype(np.float32, copy=False)
 
 
 class _LocalGradientMailbox:

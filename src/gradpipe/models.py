@@ -5,9 +5,15 @@ fully-connected ReLU network. Parameters and gradients live in flat
 float32 vectors ("grad vectors"); the layout of weight/bias blocks
 inside the flat vector is described by ModelSpec.param_blocks().
 
-All math is evaluated in float64 internally and results are stored back
-as float32, so analytic gradients survive a central finite-difference
-check at 1e-4 relative tolerance.
+`forward_loss` (and so `full_dataset_loss`) and `evaluate_accuracy`
+evaluate in float64 whatever the parameters' dtype. `backward_grad`
+runs in the dtype of the parameters it is given: float32 in training,
+float64 when a caller wants a reference. It stores the gradient as
+float32 either way; the float32 pass still matches central finite
+differences at 1e-4 relative tolerance.
+
+The weight and bias blocks are views of the flat parameter vector, not
+copies, so nothing here may modify them in place.
 """
 
 from __future__ import annotations
@@ -111,7 +117,7 @@ def _unpack(params: np.ndarray, model: ModelSpec) -> list[np.ndarray]:
     views = []
     for offset, shape in model.param_blocks():
         size = int(np.prod(shape))
-        views.append(params[offset : offset + size].reshape(shape).astype(np.float64))
+        views.append(params[offset : offset + size].reshape(shape))
     return views
 
 
@@ -144,15 +150,16 @@ def _batch_arrays(
         raise ConfigError("batch must be a non-empty 1-D index array")
     if idx.min() < 0 or idx.max() >= data.num_samples:
         raise ConfigError("batch indices out of range")
-    return data.features[idx].astype(np.float64), data.labels[idx]
+    return data.features[idx], data.labels[idx]
 
 
 def forward_loss(
     params: np.ndarray, model: ModelSpec, data: Dataset, batch: np.ndarray
 ) -> float:
-    """Mean softmax cross-entropy of the batch."""
+    """Mean softmax cross-entropy of the batch, evaluated in float64."""
     x, y = _batch_arrays(data, batch, model)
-    logits, _, _ = _forward_logits(x, params, model)
+    x = x.astype(np.float64)  # rebound, so the float32 rows are freed first
+    logits, _, _ = _forward_logits(x, params.astype(np.float64, copy=False), model)
     logp = _log_softmax(logits)
     return float(-logp[np.arange(len(y)), y].mean())
 
@@ -160,8 +167,12 @@ def forward_loss(
 def backward_grad(
     params: np.ndarray, model: ModelSpec, data: Dataset, batch: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the mean batch loss w.r.t. the flat parameter vector."""
+    """Gradient of the mean batch loss w.r.t. the flat parameter vector.
+
+    Evaluated in params.dtype and returned as float32.
+    """
     x, y = _batch_arrays(data, batch, model)
+    x = x.astype(params.dtype, copy=False)
     logits, acts, blocks = _forward_logits(x, params, model)
     probs = np.exp(_log_softmax(logits))
     probs[np.arange(len(y)), y] -= 1.0
@@ -175,8 +186,8 @@ def backward_grad(
         gb = delta.sum(axis=0)
         w_off, w_shape = layout[2 * i]
         b_off, _ = layout[2 * i + 1]
-        grad[w_off : w_off + gw.size] = gw.reshape(-1).astype(GRAD_DTYPE)
-        grad[b_off : b_off + gb.size] = gb.astype(GRAD_DTYPE)
+        grad[w_off : w_off + gw.size] = gw.reshape(-1)
+        grad[b_off : b_off + gb.size] = gb
         if i > 0:
             # acts[i] is layer i-1's ReLU output, so > 0 is its derivative mask.
             delta = (delta @ blocks[2 * i].T) * (acts[i] > 0.0)
@@ -191,12 +202,14 @@ def sgd_update(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
         raise ConfigError(f"length mismatch {params.shape} vs {grad.shape}")
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    return (params - GRAD_DTYPE(lr) * grad).astype(GRAD_DTYPE)
+    return (params - GRAD_DTYPE(lr) * grad).astype(GRAD_DTYPE, copy=False)
 
 
 def evaluate_accuracy(params: np.ndarray, model: ModelSpec, data: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
-    logits, _, _ = _forward_logits(data.features.astype(np.float64), params, model)
+    logits, _, _ = _forward_logits(
+        data.features.astype(np.float64), params.astype(np.float64, copy=False), model
+    )
     pred = np.argmax(logits, axis=1)
     return float((pred == data.labels).mean())
 

@@ -165,6 +165,23 @@ class TestProperties:
             assert block.n_elems == 0 and block.payload == b""
             assert decompress(block).size == 0
 
+    @pytest.mark.parametrize("codec", list(Codec))
+    def test_decode_into_out_matches_fresh_decode(self, codec):
+        rng = np.random.default_rng(6)
+        block = compress(rng.normal(0, 3, 257).astype(np.float32), codec)
+        acc = np.full(300, np.nan, np.float32)
+        got = decompress(block, out=acc[20:277])
+        assert np.shares_memory(got, acc)
+        assert np.array_equal(acc[20:277].view(np.uint32), decompress(block).view(np.uint32))
+        assert np.isnan(acc[:20]).all() and np.isnan(acc[277:]).all()
+
+    @pytest.mark.parametrize("codec", list(Codec))
+    def test_decode_into_wrong_out_rejected(self, codec):
+        block = compress(np.ones(8, np.float32), codec)
+        for out in (np.empty(7, np.float32), np.empty(8, np.float64)):
+            with pytest.raises(CodecError):
+                decompress(block, out=out)
+
 
 class TestWire:
     def test_wire_size_examples(self):

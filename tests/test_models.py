@@ -170,6 +170,40 @@ class TestBackwardGrad:
         assert np.isfinite(grad).all()
 
 
+class TestFloat32Pass:
+    """backward_grad runs in the parameters' dtype, on views of them."""
+
+    def test_float32_matches_float64_at_bench_shape(self):
+        # 784- and 500-wide sums build up more rounding than the tiny
+        # finite-difference shapes can show.
+        data = synthetic_blobs(dim=784, num_classes=10, num_samples=512, seed=8)
+        model = mlp_model(784, (500, 500), 10)
+        rng = np.random.default_rng(21)
+        for seed in range(5):
+            params = init_params(model, seed)
+            params += rng.normal(0, 0.01, model.num_params).astype(np.float32)
+            batch = rng.choice(data.num_samples, size=64, replace=False)
+            got = backward_grad(params, model, data, batch)
+            want = backward_grad(params.astype(np.float64), model, data, batch)
+            assert_grad_close(got, want.astype(np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_params_left_unchanged_and_unshared(self, dtype):
+        data = synthetic_blobs(dim=6, num_classes=3, num_samples=40, seed=9)
+        rng = np.random.default_rng(22)
+        for model in (logistic_model(6, 3), mlp_model(6, (5, 4), 3)):
+            params = rng.normal(0, 0.5, model.num_params).astype(dtype)
+            before = params.copy()
+            params.setflags(write=False)  # an in-place write would raise
+            batch = np.arange(10)
+            forward_loss(params, model, data, batch)
+            grad = backward_grad(params, model, data, batch)
+            evaluate_accuracy(params, model, data)
+            assert np.array_equal(params.view(np.uint8), before.view(np.uint8))
+            assert not np.shares_memory(grad, params)
+            assert grad.dtype == np.float32 and grad.flags.writeable
+
+
 class TestSgdUpdate:
     def test_zero_gradient_keeps_params(self):
         w = np.array([1.0, 2.0], np.float32)

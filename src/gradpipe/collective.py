@@ -19,9 +19,9 @@ Broadcast always sends raw float32, so replicas stay bit-identical.
 Every collective receives through one path, `_recv`: it waits for the
 next message from one peer, checks its type, iteration and block, and
 turns any failure into a CollectiveError that names the receiving rank,
-the iteration and the step. `_recv_block` adds the decode and the
-length check for the collectives that receive vectors; a block that
-does not decode fails the same way.
+the iteration and the step. `_recv_block` adds the decode, and the
+length check where the receiver knows the length, for the collectives
+that receive vectors; a block that does not decode fails the same way.
 
 A hop copies as little as it can: a block is encoded straight into the
 buffer that goes on the wire, received payloads are memoryviews of the
@@ -92,18 +92,19 @@ def _recv_block(
     src: int,
     iteration: int,
     block_index: int,
-    n_elems: int,
+    n_elems: int | None,
     step: str,
     out: np.ndarray | None = None,
 ) -> tuple[Buffer, np.ndarray]:
     """The wire bytes and decoded values of the next block from src.
 
-    With `out` the values are decoded straight into it.
+    The block must hold n_elems values, or any number when n_elems is
+    None. With `out` the values are decoded straight into it.
     """
     wire = _recv(endpoint, src, MSG_DATA, iteration, block_index, step).payload
     try:
         block = deserialize_block(wire)
-        if block.n_elems != n_elems:
+        if n_elems is not None and block.n_elems != n_elems:
             raise _error(
                 endpoint, iteration, step,
                 f"block {block_index} from rank {src} has {block.n_elems} elems, "
@@ -208,8 +209,8 @@ def broadcast_from_root(
     """Bit-exact copy of the root's vector on every rank."""
     _check_rank_args(rank, p, endpoint)
     if rank != root:
-        msg = _recv(endpoint, root, MSG_DATA, iteration, 0, f"broadcast from root {root}")
-        return decompress(deserialize_block(msg.payload)).copy()
+        step = f"broadcast from root {root}"
+        return _recv_block(endpoint, root, iteration, 0, None, step)[1].copy()
     if value is None:
         raise _error(endpoint, iteration, "broadcast", "root has no value")
     value = np.ascontiguousarray(value, dtype=np.float32)

@@ -3,17 +3,18 @@ parameter-server training over a pluggable transport.
 
 Modes:
 
-* ``pipe_sgd`` — iteration dependency K >= 2. The compute thread consumes
-  the aggregated gradient of iteration t-K out of a depth-K slot buffer
-  (slots for iterations <= 0 pre-filled with zeros and marked ready),
-  updates, computes the local gradient, and flags it ready; the
-  communication thread waits for the flag, ring-allreduces, and flags
-  the aggregated slot ready. Updates therefore run exactly K iterations
-  behind the gradients they consume.
+* ``pipe_sgd`` — iteration dependency K >= 2. Two rings of K slots, one
+  per direction, carry gradients between the compute and the
+  communication thread; iteration t owns slot t % K of each. The compute
+  thread takes the aggregated gradient of t-K (the K slots before the
+  first iteration hold zeros), updates, and puts its local gradient; the
+  communication thread takes that, ring-allreduces, and puts the sum.
+  Updates therefore run exactly K iterations behind the gradients they
+  consume.
 * ``d_sync``   — the same loop at K=1: each iteration updates with the
   previous iteration's aggregated gradient. With nothing to overlap, the
-  compute thread runs each exchange itself right after handing off its
-  gradient, and no communication thread starts.
+  compute thread runs each exchange itself on its own gradient, and no
+  communication thread starts.
 * ``ps_sync``  — workers send gradients to a dedicated server endpoint
   (rank p), which updates the parameters and broadcasts them back.
 
@@ -126,103 +127,73 @@ def aggregate_mean(total: np.ndarray, p: int) -> np.ndarray:
     return (total / np.float32(p)).astype(np.float32, copy=False)
 
 
-class _LocalGradientMailbox:
-    """Bounded ready-flag handoff from the compute to the comm thread.
+# How far past one endpoint timeout a hand-off may wait, and a failed
+# phase may wait for its comm thread to stop, before either is called hung.
+_GRACE_S = 5.0
 
-    Capacity K-1 (at least 1): the compute thread may run at most K-1
-    iterations ahead of the communication thread, which is all a depth-K
-    pipeline can exploit. put() blocks while full, take() while empty; a
-    poisoned mailbox wakes both sides with the peer's failure.
+
+class _SlotRing:
+    """K tag-keyed slots that hand gradients from one thread to another.
+
+    put(t) fills slot t % K, which must be empty; take(t) waits until the
+    slot holds t, checks the tag and empties it. poison(err) wakes the
+    taker, which re-raises err, the feeding thread's own failure. Every
+    other failure is an EngineError that names the rank, the iteration
+    and the step, as a CollectiveError does.
     """
 
-    def __init__(self, capacity: int, timeout_s: float):
-        self._cond = threading.Condition()
-        self._items: list[tuple[int, np.ndarray]] = []
-        self._capacity = max(1, capacity)
-        self._poison: BaseException | None = None
+    def __init__(self, what: str, rank: int, depth: int, timeout_s: float):
+        self._what = what
+        self._rank = rank
         self._timeout = timeout_s
-
-    def put(self, tag: int, grad: np.ndarray) -> None:
-        with self._cond:
-            while len(self._items) >= self._capacity and self._poison is None:
-                if not self._cond.wait(timeout=self._timeout):
-                    raise EngineError(f"timed out handing off local gradient {tag}")
-            if self._poison is not None:
-                raise EngineError("peer thread failed") from self._poison
-            self._items.append((tag, grad))
-            self._cond.notify_all()
-
-    def take(self, expected_tag: int) -> np.ndarray:
-        with self._cond:
-            while not self._items and self._poison is None:
-                if not self._cond.wait(timeout=self._timeout):
-                    raise EngineError(
-                        f"timed out waiting for local gradient {expected_tag}"
-                    )
-            if self._poison is not None:
-                raise EngineError("peer thread failed") from self._poison
-            tag, grad = self._items.pop(0)
-            if tag != expected_tag:
-                raise EngineError(
-                    f"mailbox holds gradient {tag}, expected {expected_tag}"
-                )
-            self._cond.notify_all()
-            return grad
-
-    def poison(self, err: BaseException) -> None:
-        with self._cond:
-            self._poison = err
-            self._cond.notify_all()
-
-
-class GradientBuffer:
-    """Depth-K ring of aggregated-gradient slots with ready flags.
-
-    The slot for iteration t is written exactly once; reading blocks
-    until the slot is ready and then clears it. Writing an occupied slot
-    is a fatal logic error (the consumer must be exactly K behind).
-    """
-
-    def __init__(self, depth: int, timeout_s: float):
-        self.depth = depth
         self._cond = threading.Condition()
         self._slots: list[tuple[int, np.ndarray] | None] = [None] * depth
         self._poison: BaseException | None = None
-        self._timeout = timeout_s
 
-    def put(self, tag: int, total: np.ndarray) -> None:
-        idx = tag % self.depth
+    def _error(self, tag: int, step: str, detail: str) -> EngineError:
+        return EngineError(
+            f"rank {self._rank}, iteration {tag}, {step} {self._what}: {detail}"
+        )
+
+    def put(self, tag: int, value: np.ndarray) -> None:
+        idx = tag % len(self._slots)
         with self._cond:
-            if self._slots[idx] is not None:
-                raise EngineError(
-                    f"aggregated-gradient slot for iteration {tag} written twice "
-                    f"(still holds iteration {self._slots[idx][0]})"
-                )
-            self._slots[idx] = (tag, total)
+            held = self._slots[idx]
+            if held is not None:
+                raise self._error(tag, "put", f"slot {idx} still holds iteration {held[0]}")
+            self._slots[idx] = (tag, value)
             self._cond.notify_all()
 
     def take(self, tag: int) -> np.ndarray:
-        idx = tag % self.depth
+        idx = tag % len(self._slots)
         with self._cond:
             while self._slots[idx] is None and self._poison is None:
                 if not self._cond.wait(timeout=self._timeout):
-                    raise EngineError(
-                        f"timed out waiting for aggregated gradient {tag}"
-                    )
+                    raise self._error(tag, "take", f"timed out after {self._timeout:g} s")
             if self._poison is not None:
-                raise EngineError("peer thread failed") from self._poison
-            slot_tag, total = self._slots[idx]
-            if slot_tag != tag:
-                raise EngineError(
-                    f"slot {idx} holds iteration {slot_tag}, expected {tag}"
-                )
+                raise self._poison
+            held, value = self._slots[idx]
+            if held != tag:
+                raise self._error(tag, "take", f"slot {idx} holds iteration {held}")
             self._slots[idx] = None
-            return total
+            return value
 
     def poison(self, err: BaseException) -> None:
         with self._cond:
             self._poison = err
             self._cond.notify_all()
+
+
+# One class under two names, because bench/spans.py times the compute
+# thread's waits (GradientBuffer.take, _LocalGradientMailbox.put) apart
+# from the comm thread's (_LocalGradientMailbox.take). Neither may
+# subclass the other, or a patched take would time both threads.
+class GradientBuffer(_SlotRing):
+    """Aggregated gradients, from the comm thread to the compute thread."""
+
+
+class _LocalGradientMailbox(_SlotRing):
+    """Local gradients, from the compute thread to the comm thread."""
 
 
 class _Worker:
@@ -311,39 +282,37 @@ class _Worker:
         before t_start hold zeros, and the K gradients still in flight
         after t_end are drained into the parameters.
         """
-        timeout = self.endpoint.timeout_s + 5.0
-        buffer = GradientBuffer(depth, timeout)
-        mailbox = _LocalGradientMailbox(depth - 1, timeout)
+        bound = self.endpoint.timeout_s + _GRACE_S
+        buffer = GradientBuffer("aggregated gradient", self.rank, depth, bound)
         zeros = np.zeros(self.model.num_params, dtype=np.float32)
         for tag in range(t_start - depth, t_start):
             buffer.put(tag, zeros)
 
-        def comm_step(t: int) -> None:
-            i0 = self._now()
-            grad = mailbox.take(t)
-            i1 = self._now()
-            self._rec(self._comm_trace, STAGE_IDLE, i0, i1, t)
+        def exchange(t: int, grad: np.ndarray) -> None:
+            a0 = self._now()
             summed = ring_allreduce(
                 grad, self.rank, self.world, self.endpoint, self.config.codec,
                 iteration=t,
             )
-            self._rec(self._comm_trace, STAGE_ALLREDUCE, i1, self._now(), t)
+            self._rec(self._comm_trace, STAGE_ALLREDUCE, a0, self._now(), t)
             buffer.put(t, summed)
-
-        comm_err: list[BaseException] = []
-
-        def comm_loop() -> None:
-            try:
-                for t in range(t_start, t_end + 1):
-                    comm_step(t)
-            except BaseException as err:  # propagate into the compute thread
-                comm_err.append(err)
-                buffer.poison(err)
 
         # At depth 1 the update waits on this very exchange, so there is
         # nothing to overlap: the compute thread runs it inline.
-        comm = None
+        mailbox = comm = None
         if depth > 1:
+            mailbox = _LocalGradientMailbox("local gradient", self.rank, depth, bound)
+
+            def comm_loop() -> None:
+                try:
+                    for t in range(t_start, t_end + 1):
+                        i0 = self._now()
+                        grad = mailbox.take(t)
+                        self._rec(self._comm_trace, STAGE_IDLE, i0, self._now(), t)
+                        exchange(t, grad)
+                except BaseException as err:  # the compute thread's take re-raises it
+                    buffer.poison(err)
+
             comm = threading.Thread(
                 target=comm_loop, name=f"comm-{self.rank}", daemon=True
             )
@@ -358,9 +327,10 @@ class _Worker:
                 self._apply_update(total)
                 self._rec(self.trace, STAGE_UPDATE, w1, self._now(), t, t - depth)
                 loss, grad = self._compute_local(t)
-                mailbox.put(t, grad)
-                if comm is None:
-                    comm_step(t)
+                if mailbox is None:
+                    exchange(t, grad)
+                else:
+                    mailbox.put(t, grad)
                 self._record_metrics(t, loss)
                 self._maybe_eval_snapshot(t)
             # Drain: consume the K aggregated gradients still in flight.
@@ -370,17 +340,17 @@ class _Worker:
                 self._apply_update(total)
                 self._rec(self.trace, STAGE_UPDATE, d1, self._now(), tag + depth, tag)
         except BaseException as err:
-            mailbox.poison(err)
-            if comm is not None:
-                comm.join(timeout=self.endpoint.timeout_s)
+            if mailbox is not None:
+                mailbox.poison(err)
             raise
-        if comm is None:
-            return
-        comm.join(timeout=self.endpoint.timeout_s + 10.0)
-        if comm.is_alive():
-            raise EngineError(f"rank {self.rank}: communication thread hung")
-        if comm_err:
-            raise comm_err[0]
+        finally:
+            if comm is not None:
+                comm.join(timeout=bound)
+                if comm.is_alive():  # chained to the failure, if any, as its context
+                    raise EngineError(
+                        f"rank {self.rank}, iteration {t}, join comm thread: "
+                        f"still running {bound:g} s after the phase stopped"
+                    )
 
     # -- parameter-server mode -------------------------------------------
 

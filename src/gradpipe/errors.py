@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-TransportError (and subclasses) -> 3.
+The CLI maps these onto process exit codes: ConfigError and any other
+GradPipeError -> 2, TransportError and CollectiveError -> 3.
 """
 
 
@@ -30,4 +30,6 @@ class CollectiveError(TransportError):
 
 
 class EngineError(GradPipeError):
-    """Training-loop logic violation (e.g. a gradient slot written twice)."""
+    """A gradient hand-off between the engine's threads failed: a wait timed
+    out, a slot held another iteration, or a comm thread outlived its join.
+    The message names the rank, the iteration and the step."""

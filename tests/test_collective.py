@@ -458,12 +458,15 @@ _CAUSES = {
     "length": (lambda t, b, n: (t, b, n - 1, _ITER), "elems, expected"),
     "corrupt": (lambda t, b, n: (t, b, b"\x00\x01\x02", _ITER), "shorter than header"),
 }
-# Broadcast and barrier receive no vector they could check or decode.
+# Only a receiver that knows the vector's length can check it, which a
+# broadcast receiver does not; only a data message is decoded, which a
+# barrier message is not.
 _FAULTS = [
     (site, cause)
     for site, entry in _SITES.items()
     for cause in _CAUSES
-    if cause not in ("length", "corrupt") or entry[4][2] is not None
+    if (cause != "length" or entry[4][2] is not None)
+    and (cause != "corrupt" or entry[4][0] == MSG_DATA)
 ]
 
 

@@ -1,11 +1,14 @@
 
+import re
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from helpers import engine_batches, run_ranks
 
+from gradpipe import engine
 from gradpipe.collective import gather_to_root, ring_allreduce
 from gradpipe.compression import Codec
 from gradpipe.data import synthetic_blobs
@@ -15,10 +18,14 @@ from gradpipe.engine import (
     MODE_PIPE_SGD,
     MODE_PS_SYNC,
     RunConfig,
+    _GRACE_S,
+    _LocalGradientMailbox,
+    _Worker,
     aggregate_mean,
     run_inproc_cluster,
 )
-from gradpipe.errors import ConfigError, EngineError
+from gradpipe.errors import CollectiveError, ConfigError, EngineError
+from gradpipe.transport import InProcTransport
 from gradpipe.models import (
     backward_grad,
     forward_loss,
@@ -368,6 +375,124 @@ class TestCommThread:
         assert len(seen) == 2 * 5
         assert set(seen) == {threaded}
 
+    def test_hung_comm_thread_reported(self, small_problem, monkeypatch):
+        """A comm thread still busy when the phase's join gives up fails
+        the run with an EngineError whose context is the original failure."""
+        data, model = small_problem
+        stuck, release = threading.Event(), threading.Event()
+        allreduce = engine.ring_allreduce
+
+        def stuck_at_2(*args, iteration):
+            if iteration == 2:
+                stuck.set()
+                release.wait(timeout=10)
+            return allreduce(*args, iteration=iteration)
+
+        def provider(rank, t):
+            if t == 3:
+                stuck.wait(timeout=10)
+                raise RuntimeError("compute failed")
+            return np.arange(16)
+
+        monkeypatch.setattr(engine, "ring_allreduce", stuck_at_2)
+        monkeypatch.setattr(engine, "_GRACE_S", 0.1)
+        cfg = RunConfig(mode=MODE_PIPE_SGD, iterations=6, batch_size=16, seed=0)
+        try:
+            with pytest.raises(EngineError, match="^rank 0, iteration 3, join comm thread: ") as info:
+                run_inproc_cluster(1, cfg, data, model, batch_provider=provider, timeout_s=0.2)
+        finally:
+            release.set()
+        assert isinstance(info.value.__context__, RuntimeError)
+        for th in threading.enumerate():
+            if th.name == "comm-0":
+                th.join(timeout=5)
+                assert not th.is_alive()
+
+
+# Each hand-off site: the ring that carries the gradient and its label.
+_HANDOFFS = {
+    "aggregated": (GradientBuffer, "aggregated gradient"),
+    "local": (_LocalGradientMailbox, "local gradient"),
+}
+
+
+class TestHandoffFaults:
+    """Every hand-off failure names the rank, the iteration and the step,
+    except a poisoned take, which re-raises the feeding thread's error."""
+
+    @pytest.mark.parametrize("site", _HANDOFFS)
+    def test_timeout(self, site):
+        ring_cls, what = _HANDOFFS[site]
+        ring = ring_cls(what, 1, 2, timeout_s=0.05)
+        with pytest.raises(EngineError, match=f"^rank 1, iteration 7, take {what}: timed out"):
+            ring.take(7)
+
+    @pytest.mark.parametrize("site", _HANDOFFS)
+    def test_poisoned_peer(self, site):
+        ring_cls, what = _HANDOFFS[site]
+        ring = ring_cls(what, 1, 2, timeout_s=10)
+        err = CollectiveError("rank 1, iteration 7, reduce-scatter step 0: lost")
+        feeder = threading.Timer(0.05, ring.poison, args=(err,))
+        feeder.start()
+        with pytest.raises(CollectiveError) as info:
+            ring.take(7)
+        feeder.join(timeout=5)
+        assert info.value is err
+
+    @pytest.mark.parametrize("site", _HANDOFFS)
+    def test_wrong_tag(self, site):
+        ring_cls, what = _HANDOFFS[site]
+        ring = ring_cls(what, 1, 2, timeout_s=1)
+        ring.put(5, np.zeros(3, np.float32))
+        says = f"^rank 1, iteration 7, take {what}: slot 1 holds iteration 5$"
+        with pytest.raises(EngineError, match=says):
+            ring.take(7)
+
+
+class TestLostPeer:
+    @pytest.mark.parametrize("mode", [MODE_D_SYNC, MODE_PIPE_SGD])
+    def test_survivor_fails_with_the_lost_exchange(self, small_problem, mode):
+        """Rank 1 dies at iteration 5: rank 0 raises the CollectiveError of
+        the exchange that lost it, within the endpoint timeout plus the
+        grace, and its comm thread is gone."""
+        data, model = small_problem
+        timeout = 0.5
+        died_at = []
+
+        def provider(rank, t):
+            if rank == 1 and t == 5:
+                died_at.append(time.monotonic())
+                raise RuntimeError("rank 1 lost")
+            return np.arange(16)
+
+        cfg = RunConfig(mode=mode, iterations=20, batch_size=16, seed=0)
+        transport = InProcTransport(2, timeout_s=timeout)
+        epoch_ns = time.monotonic_ns()
+        workers = [
+            _Worker(r, 2, transport.endpoint(r), data, model, cfg, epoch_ns, provider)
+            for r in range(2)
+        ]
+        failed: dict[int, tuple[BaseException, float]] = {}
+
+        def run(rank):
+            try:
+                workers[rank].run()
+            except BaseException as err:
+                failed[rank] = (err, time.monotonic())
+
+        threads = [threading.Thread(target=run, args=(r,)) for r in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+        assert not any(th.is_alive() for th in threads)
+        assert isinstance(failed[1][0], RuntimeError)
+        err, failed_at = failed[0]
+        assert isinstance(err, CollectiveError)
+        assert re.match(r"^rank 0, iteration \d+, reduce-scatter step 0: ", str(err))
+        assert failed_at - died_at[0] < timeout + _GRACE_S
+        assert "comm-0" not in {th.name for th in threading.enumerate()}
+
 
 class TestTraceIntegrity:
     def test_compute_thread_events_ordered(self, small_problem):
@@ -384,14 +509,15 @@ class TestTraceIntegrity:
 
 class TestGuards:
     def test_gradient_buffer_double_write_is_fatal(self):
-        buf = GradientBuffer(2, timeout_s=1)
+        buf = GradientBuffer("aggregated gradient", 0, 2, timeout_s=1)
         total = np.zeros(3, np.float32)
         buf.put(1, total)
-        with pytest.raises(EngineError, match="twice"):
+        says = "^rank 0, iteration 3, put aggregated gradient: slot 1 still holds iteration 1$"
+        with pytest.raises(EngineError, match=says):
             buf.put(3, total)  # same slot as 1 mod 2
 
     def test_gradient_buffer_take_clears(self):
-        buf = GradientBuffer(2, timeout_s=1)
+        buf = GradientBuffer("aggregated gradient", 0, 2, timeout_s=1)
         total = np.zeros(3, np.float32)
         buf.put(4, total)
         assert buf.take(4) is total

@@ -195,23 +195,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(what: str, err: BaseException, code: int) -> int:
+    """Print the error, then one line per rank that failed; return code."""
+    print(f"{what}: {err}", file=sys.stderr)
+    for rank, each in getattr(err, "rank_errors", ()):
+        print(f"  rank {rank}: {type(each).__name__}: {each}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config error", err, EXIT_CONFIG)
     except TransportError as err:
-        print(f"transport failure: {err}", file=sys.stderr)
-        return EXIT_TRANSPORT
+        return _fail("transport failure", err, EXIT_TRANSPORT)
     except GradPipeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("error", err, EXIT_CONFIG)
     except (FileNotFoundError, UnicodeDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config error", err, EXIT_CONFIG)
 
 
 if __name__ == "__main__":

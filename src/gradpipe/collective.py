@@ -29,9 +29,11 @@ receive buffer, and under codec none a decoded block is a view of that
 buffer too. Such views are only ever added into, or copied into, an
 array the collective owns: the ring sums and gathers in place, in the
 one vector it returns, and its allgather decodes every block straight
-into that vector. Every array a collective returns owns its
-writeable memory and shares none with any wire buffer, so a caller may
-modify it freely.
+into that vector. A collective returns `out` when given one, else a new
+array that owns its writeable memory; either way the result shares no
+memory with any wire buffer, so a caller may modify it freely. With
+`out=local` the ring sums into the caller's own vector and allocates no
+accumulator.
 """
 
 from __future__ import annotations
@@ -136,19 +138,37 @@ def ring_allreduce(
     endpoint: Endpoint,
     codec: Codec = Codec.NONE,
     iteration: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Elementwise sum of all ranks' vectors, identical on every rank."""
+    """Elementwise sum of all ranks' vectors, identical on every rank.
+
+    The sum is built in `out` and `out` is returned, when given: a
+    writeable, contiguous float32 vector of local's length, which may be
+    `local` itself. Otherwise it is built in a new array.
+    """
     _check_rank_args(rank, p, endpoint, local)
-    acc = np.array(local, dtype=np.float32, copy=True)
+    if out is None:
+        acc = np.array(local, dtype=np.float32, copy=True)
+    elif out.dtype != np.float32 or out.shape != local.shape or not (
+        out.flags.c_contiguous and out.flags.writeable
+    ):
+        raise CollectiveError(
+            f"out must be a writeable contiguous float32 vector of {local.size} elems, "
+            f"got {out.dtype} {out.shape} {out.flags.c_contiguous=} {out.flags.writeable=}"
+        )
+    else:
+        acc = out
+        if acc is not local:
+            acc[:] = local
     if p == 1:
         return acc
     succ, pred = (rank + 1) % p, (rank - 1) % p
     views = [acc[off : off + length] for off, length in partition_blocks(acc.size, p)]
 
     def recv_block(
-        idx: int, step: str, out: np.ndarray | None = None
+        idx: int, step: str, into: np.ndarray | None = None
     ) -> tuple[Buffer, np.ndarray]:
-        return _recv_block(endpoint, pred, iteration, idx, views[idx].size, step, out)
+        return _recv_block(endpoint, pred, iteration, idx, views[idx].size, step, into)
 
     # Reduce-scatter: each received block is decoded, summed with the
     # local block, and re-encoded for the next hop.

@@ -119,12 +119,17 @@ class WorkerResult:
 
 
 def aggregate_mean(total: np.ndarray, p: int) -> np.ndarray:
-    """Aggregated gradient sum -> mean over the global batch."""
+    """Aggregated gradient sum -> mean over the global batch.
+
+    Consumes its argument: the float32 sum is divided in place and
+    returned, so the caller must own it and may not read it as a sum
+    afterwards.
+    """
     if p < 1:
         raise ConfigError("worker count must be >= 1")
     if p == 1:
         return total
-    return (total / np.float32(p)).astype(np.float32, copy=False)
+    return np.divide(total, np.float32(p), out=total)
 
 
 # How far past one endpoint timeout a hand-off may wait, and a failed
@@ -284,15 +289,16 @@ class _Worker:
         """
         bound = self.endpoint.timeout_s + _GRACE_S
         buffer = GradientBuffer("aggregated gradient", self.rank, depth, bound)
-        zeros = np.zeros(self.model.num_params, dtype=np.float32)
+        # One array per slot: the update divides what it takes in place.
         for tag in range(t_start - depth, t_start):
-            buffer.put(tag, zeros)
+            buffer.put(tag, np.zeros(self.model.num_params, dtype=np.float32))
 
         def exchange(t: int, grad: np.ndarray) -> None:
+            # The gradient is read by no one else, so the ring sums into it.
             a0 = self._now()
             summed = ring_allreduce(
                 grad, self.rank, self.world, self.endpoint, self.config.codec,
-                iteration=t,
+                iteration=t, out=grad,
             )
             self._rec(self._comm_trace, STAGE_ALLREDUCE, a0, self._now(), t)
             buffer.put(t, summed)
@@ -454,8 +460,8 @@ def run_inproc_cluster(
     """Run a full training job with all ranks as threads in this process.
 
     Returns one WorkerResult per rank (the parameter server, when
-    present, is the last entry). The first worker failure aborts the
-    whole run and is re-raised here.
+    present, is the last entry). A worker failure fails the whole run:
+    the first one is re-raised here, as `run_rank_threads` describes.
     """
     if workers < 1:
         raise ConfigError("need at least one worker")
@@ -474,16 +480,21 @@ def run_inproc_cluster(
 
 def run_rank_threads(world: int, target) -> list:
     """target(rank) on `world` threads named ``worker-<rank>``; the results
-    in rank order. The first failure is re-raised once all have joined.
+    in rank order.
+
+    Once all have joined, the first failure is re-raised unchanged. Its
+    ``rank_errors`` attribute lists (rank, error) for every rank that
+    failed, itself included, in rank order, so what a surviving rank saw
+    of the failure is not lost.
     """
     results: list = [None] * world
-    errors: list[BaseException] = []
+    failures: list[tuple[int, BaseException]] = []
 
     def runner(rank: int) -> None:
         try:
             results[rank] = target(rank)
         except BaseException as err:
-            errors.append(err)
+            failures.append((rank, err))
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"worker-{r}")
@@ -501,8 +512,10 @@ def run_rank_threads(world: int, target) -> list:
             t.join()
     finally:
         sys.setswitchinterval(old_interval)
-    if errors:
-        raise errors[0]
+    if failures:
+        first = failures[0][1]
+        first.rank_errors = sorted(failures, key=lambda failure: failure[0])
+        raise first
     return results
 
 

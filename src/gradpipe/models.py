@@ -6,7 +6,10 @@ float32 vectors ("grad vectors"); the layout of weight/bias blocks
 inside the flat vector is described by ModelSpec.param_blocks().
 
 `forward_loss` (and so `full_dataset_loss`) and `evaluate_accuracy`
-evaluate in float64 whatever the parameters' dtype. `backward_grad`
+evaluate in float64 whatever the parameters' dtype. They upcast block by
+block: each layer's weights and biases are cast just before that
+layer's matmul, so the float64 temporary is one layer, never a float64
+copy of the whole parameter vector. `backward_grad`
 runs in the dtype of the parameters it is given: float32 in training,
 float64 when a caller wants a reference. It stores the gradient as
 float32 either way; the float32 pass still matches central finite
@@ -124,12 +127,20 @@ def _unpack(params: np.ndarray, model: ModelSpec) -> list[np.ndarray]:
 def _forward_logits(
     x: np.ndarray, params: np.ndarray, model: ModelSpec
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Logits, each layer's input, and the unpacked W/b blocks (for backward)."""
+    """Logits, each layer's input, and the unpacked W/b blocks (for backward).
+
+    Each layer runs in x.dtype: its blocks are cast to it one at a time,
+    which costs nothing when the dtypes already agree.
+    """
     blocks = _unpack(params, model)
+
+    def layer(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ w.astype(x.dtype, copy=False) + b.astype(x.dtype, copy=False)
+
     acts = [x]
     for w, b in zip(blocks[:-2:2], blocks[1:-2:2]):
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
-    return acts[-1] @ blocks[-2] + blocks[-1], acts, blocks
+        acts.append(np.maximum(layer(acts[-1], w, b), 0.0))
+    return layer(acts[-1], blocks[-2], blocks[-1]), acts, blocks
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -159,7 +170,7 @@ def forward_loss(
     """Mean softmax cross-entropy of the batch, evaluated in float64."""
     x, y = _batch_arrays(data, batch, model)
     x = x.astype(np.float64)  # rebound, so the float32 rows are freed first
-    logits, _, _ = _forward_logits(x, params.astype(np.float64, copy=False), model)
+    logits, _, _ = _forward_logits(x, params, model)
     logp = _log_softmax(logits)
     return float(-logp[np.arange(len(y)), y].mean())
 
@@ -197,19 +208,25 @@ def backward_grad(
 
 
 def sgd_update(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    """params - lr * grad, elementwise, in float32."""
+    """params - lr * grad, elementwise, returned as float32.
+
+    The step lr * grad is the one temporary: the difference is written
+    over it. The arithmetic runs in the promoted dtype of params and
+    grad, as the plain expression would, so a float64 grad is still
+    multiplied and subtracted in float64.
+    """
     if params.shape != grad.shape:
         raise ConfigError(f"length mismatch {params.shape} vs {grad.shape}")
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    return (params - GRAD_DTYPE(lr) * grad).astype(GRAD_DTYPE, copy=False)
+    step = GRAD_DTYPE(lr) * grad
+    np.subtract(params, step, out=step)
+    return step.astype(GRAD_DTYPE, copy=False)
 
 
 def evaluate_accuracy(params: np.ndarray, model: ModelSpec, data: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
-    logits, _, _ = _forward_logits(
-        data.features.astype(np.float64), params.astype(np.float64, copy=False), model
-    )
+    logits, _, _ = _forward_logits(data.features.astype(np.float64), params, model)
     pred = np.argmax(logits, axis=1)
     return float((pred == data.labels).mean())
 

@@ -404,8 +404,10 @@ class TestOwnedResults:
 
         def op(rank, ep):
             wires = _record_wire(ep)
+            own = inputs[rank].copy()
             outs = [
                 ring_allreduce(inputs[rank], rank, p, ep, codec),
+                ring_allreduce(own, rank, p, ep, codec, iteration=1, out=own),
                 gather_to_root(inputs[rank], 0, rank, p, ep, codec),
                 broadcast_from_root(inputs[0] if rank == 0 else None, 0, rank, p, ep),
             ]
@@ -420,6 +422,42 @@ class TestOwnedResults:
                 assert out.flags.writeable
                 for other in everything:
                     assert not np.shares_memory(out, other)
+
+
+class TestRingOut:
+    """`out=local` sums into the caller's vector: the same bits as the
+    copying call, in the vector it was given."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.name.lower())
+    def test_in_place_matches_copying_call(self, codec, p, transport):
+        inputs = random_inputs(p, 1001, seed=20 + p)
+
+        def op(rank, ep):
+            copied = ring_allreduce(inputs[rank], rank, p, ep, codec, iteration=1)
+            local = inputs[rank].copy()
+            summed = ring_allreduce(local, rank, p, ep, codec, iteration=2, out=local)
+            return copied, local, summed
+
+        run = run_ranks if transport == "inproc" else run_tcp_ranks
+        for copied, local, summed in run(p, op):
+            assert summed is local
+            assert np.array_equal(summed.view(np.uint32), copied.view(np.uint32))
+
+    # Each is wrong for an 8-element float32 vector in one way only.
+    BAD_OUTS = {
+        "length": lambda: np.zeros(7, np.float32),
+        "dtype": lambda: np.zeros(8, np.float64),
+        "strided": lambda: np.zeros(16, np.float32)[::2],
+        "read-only": lambda: np.frombuffer(bytes(32), np.float32),
+    }
+
+    @pytest.mark.parametrize("flaw", BAD_OUTS)
+    def test_bad_out_rejected(self, flaw):
+        endpoint = InProcTransport(1).endpoint(0)
+        with pytest.raises(CollectiveError, match="^out must be a writeable contiguous float32"):
+            ring_allreduce(np.ones(8, np.float32), 0, 1, endpoint, out=self.BAD_OUTS[flaw]())
 
 
 # Receive sites at p=2 with an 8-element vector, keyed by site. Each

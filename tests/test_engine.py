@@ -382,11 +382,11 @@ class TestCommThread:
         stuck, release = threading.Event(), threading.Event()
         allreduce = engine.ring_allreduce
 
-        def stuck_at_2(*args, iteration):
+        def stuck_at_2(*args, iteration, **kwargs):
             if iteration == 2:
                 stuck.set()
                 release.wait(timeout=10)
-            return allreduce(*args, iteration=iteration)
+            return allreduce(*args, iteration=iteration, **kwargs)
 
         def provider(rank, t):
             if t == 3:
@@ -492,6 +492,27 @@ class TestLostPeer:
         assert re.match(r"^rank 0, iteration \d+, reduce-scatter step 0: ", str(err))
         assert failed_at - died_at[0] < timeout + _GRACE_S
         assert "comm-0" not in {th.name for th in threading.enumerate()}
+
+
+class TestRankErrors:
+    def test_first_failure_carries_every_rank_error(self, small_problem):
+        """Rank 1 dies at iteration 5: its own error is raised, unchanged,
+        and carries rank 0's CollectiveError beside it, in rank order."""
+        data, model = small_problem
+
+        def provider(rank, t):
+            if rank == 1 and t == 5:
+                raise RuntimeError("rank 1 lost")
+            return np.arange(16)
+
+        cfg = RunConfig(mode=MODE_D_SYNC, iterations=10, batch_size=16, seed=0)
+        with pytest.raises(RuntimeError, match="^rank 1 lost$") as info:
+            run_inproc_cluster(2, cfg, data, model, batch_provider=provider, timeout_s=1)
+        (rank0, err0), (rank1, err1) = info.value.rank_errors
+        assert (rank0, rank1) == (0, 1)
+        assert err1 is info.value
+        assert isinstance(err0, CollectiveError)
+        assert re.match(r"^rank 0, iteration 5, reduce-scatter step 0: ", str(err0))
 
 
 class TestTraceIntegrity:

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 import statistics
 import time
 from dataclasses import fields
@@ -6,11 +8,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from gradpipe import harness
 from gradpipe.charts import padded_bounds
 from gradpipe.cli import main
 from gradpipe.collective import ring_allreduce
 from gradpipe.compression import Codec
-from gradpipe.engine import RunConfig
+from gradpipe.engine import RunConfig, run_inproc_cluster
 from gradpipe.errors import ConfigError
 from gradpipe.harness import (
     BREAKDOWN_HEADER,
@@ -434,6 +437,25 @@ class TestCli:
         code = main(["run", "--workers", "0"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_run_prints_one_line_per_failed_rank(self, tmp_path, capsys, monkeypatch):
+        def provider(rank, t):
+            if rank == 1 and t == 3:
+                raise ConfigError("rank 1 has no batch")
+            return np.arange(8)
+
+        monkeypatch.setattr(
+            harness, "run_inproc_cluster",
+            functools.partial(run_inproc_cluster, batch_provider=provider, timeout_s=1),
+        )
+        code, _ = self.run_ok(tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "config error: rank 1 has no batch"
+        assert re.match(
+            r"^  rank 0: CollectiveError: rank 0, iteration 3, reduce-scatter step 0: ", err[1]
+        )
+        assert err[2:] == ["  rank 1: ConfigError: rank 1 has no batch"]
 
     @pytest.mark.parametrize(
         "content,argv,names",

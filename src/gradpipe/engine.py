@@ -15,8 +15,11 @@ Modes:
   previous iteration's aggregated gradient. With nothing to overlap, the
   compute thread runs each exchange itself on its own gradient, and no
   communication thread starts.
-* ``ps_sync``  — workers send gradients to a dedicated server endpoint
-  (rank p), which updates the parameters and broadcasts them back.
+* ``ps_sync``  — the d_sync loop over a star instead of a ring: workers
+  send their gradients to a dedicated server endpoint (rank p), which
+  sums them in rank order and broadcasts the sum back as raw float32.
+  Every rank, the server included, applies that sum itself, so all hold
+  the same parameters.
 
 Gradients stay plain float32 vectors from ``backward_grad`` to
 ``sgd_update``; the configured codec runs only on the wire, inside the
@@ -258,8 +261,9 @@ class _Worker:
         self.params = sgd_update(self.params, mean, self.config.learning_rate)
 
     def _maybe_eval_snapshot(self, iteration: int) -> None:
-        ev = self.config.eval_interval
-        if self.rank == 0 and ev > 0 and iteration % ev == 0:
+        # _result takes the point at T, after the drain.
+        ev, last = self.config.eval_interval, self.config.iterations
+        if self.rank == 0 and ev > 0 and iteration % ev == 0 and iteration < last:
             self.eval_points.append((iteration, self.params.copy()))
 
     def _record_metrics(self, iteration: int, loss: float) -> None:
@@ -278,14 +282,30 @@ class _Worker:
         self._rec(self.trace, STAGE_BACKWARD, t1, t2, iteration)
         return loss, grad
 
-    # -- the training loop (d_sync, pipe_sgd and its warm-up) ---------------
+    def _allreduce(self, t: int, grad: np.ndarray) -> np.ndarray:
+        """Iteration t's gradient summed over the workers; consumes grad.
+
+        The ring sums into grad, which no one else reads. In ps_sync the
+        server gathers the sum and broadcasts it back (_ps_server_loop).
+        """
+        cfg, server = self.config, self.world - 1
+        if cfg.mode != MODE_PS_SYNC:
+            return ring_allreduce(
+                grad, self.rank, self.world, self.endpoint, cfg.codec, iteration=t, out=grad
+            )
+        gather_to_root(grad, server, self.rank, self.world, self.endpoint, cfg.codec, iteration=t)
+        return broadcast_from_root(None, server, self.rank, self.world, self.endpoint, iteration=t)
+
+    # -- the training loop (every worker of every mode) ---------------------
 
     def _pipe_phase(self, t_start: int, t_end: int, depth: int) -> None:
         """Iterations t_start..t_end at iteration dependency K = depth.
 
         Update t consumes the aggregated gradient of t-K; the K slots
         before t_start hold zeros, and the K gradients still in flight
-        after t_end are drained into the parameters.
+        after t_end are drained into the parameters. d_sync, ps_sync and
+        the pipe_sgd warm-up run at depth 1; ps_sync differs from d_sync
+        only in the exchange that _allreduce makes.
         """
         bound = self.endpoint.timeout_s + _GRACE_S
         buffer = GradientBuffer("aggregated gradient", self.rank, depth, bound)
@@ -294,12 +314,8 @@ class _Worker:
             buffer.put(tag, np.zeros(self.model.num_params, dtype=np.float32))
 
         def exchange(t: int, grad: np.ndarray) -> None:
-            # The gradient is read by no one else, so the ring sums into it.
             a0 = self._now()
-            summed = ring_allreduce(
-                grad, self.rank, self.world, self.endpoint, self.config.codec,
-                iteration=t, out=grad,
-            )
+            summed = self._allreduce(t, grad)
             self._rec(self._comm_trace, STAGE_ALLREDUCE, a0, self._now(), t)
             buffer.put(t, summed)
 
@@ -331,12 +347,16 @@ class _Worker:
                 w1 = self._now()
                 self._rec(self.trace, STAGE_IDLE, w0, w1, t)
                 self._apply_update(total)
+                # Dropped once used: held, each would keep a model-sized array
+                # alive through the compute and exchange that follow.
+                del total
                 self._rec(self.trace, STAGE_UPDATE, w1, self._now(), t, t - depth)
                 loss, grad = self._compute_local(t)
                 if mailbox is None:
                     exchange(t, grad)
                 else:
                     mailbox.put(t, grad)
+                del grad
                 self._record_metrics(t, loss)
                 self._maybe_eval_snapshot(t)
             # Drain: consume the K aggregated gradients still in flight.
@@ -358,43 +378,23 @@ class _Worker:
                         f"still running {bound:g} s after the phase stopped"
                     )
 
-    # -- parameter-server mode -------------------------------------------
-
-    def _ps_worker_loop(self) -> None:
-        cfg = self.config
-        server = self.world - 1
-        for t in range(1, cfg.iterations + 1):
-            loss, grad = self._compute_local(t)
-            a0 = self._now()
-            gather_to_root(
-                grad, server, self.rank, self.world, self.endpoint, cfg.codec,
-                iteration=t,
-            )
-            self.params = broadcast_from_root(
-                None, server, self.rank, self.world, self.endpoint, iteration=t
-            )
-            self._rec(self.trace, STAGE_ALLREDUCE, a0, self._now(), t)
-            self._record_metrics(t, loss)
-            self._maybe_eval_snapshot(t)
+    # -- the parameter server (ps_sync's last rank) ------------------------
 
     def _ps_server_loop(self) -> None:
-        cfg = self.config
-        server = self.world - 1
+        """Gather each iteration's sum, broadcast it, then apply it: the
+        workers apply the same float32 sgd_update to the same bits."""
+        cfg, server = self.config, self.world - 1
         zeros = np.zeros(self.model.num_params, dtype=np.float32)
         for t in range(1, cfg.iterations + 1):
             a0 = self._now()
             total = gather_to_root(
-                zeros, server, self.rank, self.world, self.endpoint, cfg.codec,
-                iteration=t,
+                zeros, server, self.rank, self.world, self.endpoint, cfg.codec, iteration=t
             )
+            broadcast_from_root(total, server, self.rank, self.world, self.endpoint, iteration=t)
             a1 = self._now()
             self._rec(self.trace, STAGE_ALLREDUCE, a0, a1, t)
             self._apply_update(total)
             self._rec(self.trace, STAGE_UPDATE, a1, self._now(), t, t)
-            broadcast_from_root(
-                self.params, server, self.rank, self.world, self.endpoint,
-                iteration=t,
-            )
 
     # -- entry point --------------------------------------------------------
 
@@ -410,11 +410,9 @@ class _Worker:
         cfg = self.config
         if self._is_server():
             self._ps_server_loop()
-        elif cfg.mode == MODE_PS_SYNC:
-            self._ps_worker_loop()
         else:
-            # d_sync is the depth-1 pipeline throughout; pipe_sgd runs its
-            # warm-up epochs at depth 1 and the rest at depth K.
+            # d_sync and ps_sync are the depth-1 pipeline throughout;
+            # pipe_sgd runs its warm-up epochs at depth 1, the rest at depth K.
             sync_iters = cfg.iterations
             if cfg.mode == MODE_PIPE_SGD:
                 per_epoch = max(1, len(self.shard) // cfg.batch_size)
@@ -428,10 +426,7 @@ class _Worker:
 
     def _result(self, train_seconds: float) -> WorkerResult:
         if self.rank == 0 and self.config.eval_interval > 0:
-            if not self.eval_points or self.eval_points[-1][0] != self.config.iterations:
-                self.eval_points.append(
-                    (self.config.iterations, self.params.copy())
-                )
+            self.eval_points.append((self.config.iterations, self.params.copy()))
         merged = sorted(
             self.trace + self._comm_trace, key=lambda e: (e.start_ns, e.iteration)
         )

@@ -106,14 +106,15 @@ class TestPipeSingleNode:
 
     @pytest.mark.parametrize(
         "mode, depth",
-        [(MODE_D_SYNC, 1), (MODE_PIPE_SGD, 2), (MODE_PIPE_SGD, 3)],
-        ids=["d_sync-K1", "pipe_sgd-K2", "pipe_sgd-K3"],
+        [(MODE_D_SYNC, 1), (MODE_PIPE_SGD, 2), (MODE_PIPE_SGD, 3), (MODE_PS_SYNC, 1)],
+        ids=["d_sync-K1", "pipe_sgd-K2", "pipe_sgd-K3", "ps_sync-K1"],
     )
     def test_staleness_tags_exact(self, small_problem, mode, depth):
         data, model = small_problem
         T = 25
         cfg = RunConfig(mode=mode, iterations=T, batch_size=16, seed=4, depth=depth)
-        for result in run_inproc_cluster(2, cfg, data, model):
+        results = run_inproc_cluster(2, cfg, data, model)
+        for result in (r for r in results if not r.is_server):
             updates = [e for e in result.trace if e.stage == "update"]
             assert len(updates) == T + depth  # T in-loop + depth drained
             for e in updates:
@@ -122,6 +123,19 @@ class TestPipeSingleNode:
                 e.consumed_tag for e in updates if e.consumed_tag >= 1
             )
             assert consumed == list(range(1, T + 1))  # each gradient exactly once
+
+
+class TestEvalPoints:
+    @pytest.mark.parametrize("mode", [MODE_D_SYNC, MODE_PIPE_SGD, MODE_PS_SYNC])
+    def test_last_point_holds_final_params(self, small_problem, mode):
+        """With eval_interval dividing T, the point at T is taken after the
+        drain: it holds the final parameters, not those K updates short."""
+        data, model = small_problem
+        T = 12
+        cfg = RunConfig(mode=mode, iterations=T, batch_size=16, seed=3, eval_interval=6)
+        rank0 = run_inproc_cluster(2, cfg, data, model)[0]
+        assert [it for it, _ in rank0.eval_points] == [6, T]
+        assert np.array_equal(rank0.eval_points[-1][1], rank0.params)
 
 
 class TestReplicaConsistency:
@@ -513,6 +527,26 @@ class TestRankErrors:
         assert err1 is info.value
         assert isinstance(err0, CollectiveError)
         assert re.match(r"^rank 0, iteration 5, reduce-scatter step 0: ", str(err0))
+
+    def test_ps_sync_worker_and_server_name_the_lost_exchange(self, small_problem):
+        """Rank 1 dies at iteration 5: rank 0 times out on the server's
+        broadcast, and the server (rank 2) on rank 1's gather."""
+        data, model = small_problem
+
+        def provider(rank, t):
+            if rank == 1 and t == 5:
+                raise RuntimeError("rank 1 lost")
+            return np.arange(16)
+
+        cfg = RunConfig(mode=MODE_PS_SYNC, iterations=10, batch_size=16, seed=0)
+        with pytest.raises(RuntimeError, match="^rank 1 lost$") as info:
+            run_inproc_cluster(2, cfg, data, model, batch_provider=provider, timeout_s=1)
+        (rank0, err0), (rank1, err1), (rank2, err2) = info.value.rank_errors
+        assert (rank0, rank1, rank2) == (0, 1, 2)
+        assert err1 is info.value
+        assert isinstance(err0, CollectiveError) and isinstance(err2, CollectiveError)
+        assert re.match(r"^rank 0, iteration 5, broadcast from root 2: ", str(err0))
+        assert re.match(r"^rank 2, iteration 5, gather from rank 1: ", str(err2))
 
 
 class TestTraceIntegrity:

@@ -12,7 +12,7 @@ import pytest
 from gradpipe.collective import ring_allreduce
 from gradpipe.compression import Codec
 from gradpipe.data import synthetic_blobs
-from gradpipe.engine import RunConfig, _Worker
+from gradpipe.engine import MODE_D_SYNC, MODE_PIPE_SGD, RunConfig, _Worker, run_inproc_cluster
 from gradpipe.models import forward_loss, mlp_model
 from gradpipe.transport import InProcTransport
 from helpers import run_ranks
@@ -53,6 +53,19 @@ class TestUpdate:
         total = total.astype(np.float32)
         _, peak, _ = traced(lambda: worker._apply_update(total))
         assert peak <= 4 * BENCH_MLP.num_params + SLACK
+
+
+class TestTrainingLoop:
+    @pytest.mark.parametrize(
+        "mode, arrays", [(MODE_D_SYNC, 4), (MODE_PIPE_SGD, 5)], ids=["d_sync", "pipe_sgd"]
+    )
+    def test_applied_sums_and_sent_gradients_are_dropped(self, mnist_shaped, mode, arrays):
+        """A rank holds no sum it has applied and no gradient it has handed
+        to the exchange through the compute that follows: one rank peaks
+        below 4 model-sized arrays at depth 1 and below 5 at depth 2."""
+        cfg = RunConfig(mode=mode, iterations=6, batch_size=16, depth=2)
+        _, peak, _ = traced(lambda: run_inproc_cluster(1, cfg, mnist_shaped, BENCH_MLP))
+        assert peak < arrays * 4 * BENCH_MLP.num_params
 
 
 class TestForwardLoss:

@@ -5,8 +5,15 @@ from a calibration/params file), ``calibrate`` (measure stage times and
 network parameters), ``compare`` (measured vs predicted iteration
 times), ``chart`` (SVGs from existing CSVs).
 
-Exit codes: 0 success, 2 configuration error, 3 transport failure,
-4 prediction disagreement above threshold in ``compare``.
+``run`` and ``calibrate`` take ``--config FILE`` and one flag per run
+key, that is per field of ``ExperimentConfig``: ``--<field-with-dashes>``,
+except ``--k`` (depth), ``--iters``, ``--lr`` and ``--out`` (out_dir). A
+flag overrides the file's value, and both are parsed by the same
+``config_from_mapping``, so a bad flag value is a config error.
+
+Exit codes: 0 success, 2 configuration error (including an unreadable
+input file), 3 transport failure, 4 prediction disagreement above
+threshold in ``compare``.
 """
 
 from __future__ import annotations
@@ -16,14 +23,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .compression import Codec
-from .engine import MODES
 from .errors import ConfigError, GradPipeError, TransportError
 from .harness import (
-    CLOCK_LOGICAL,
-    CLOCK_MONOTONIC,
-    DATASET_MNIST,
-    DATASET_SYNTHETIC,
     ExperimentConfig,
     calibrate,
     calibration_text,
@@ -38,48 +39,31 @@ from .harness import (
     prediction_table,
     run_experiment,
 )
-from .models import LOGISTIC, MLP
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_THRESHOLD = 4
 
+# Run keys whose flag is not --<field-with-dashes>.
+_FLAG_NAMES = {
+    "depth": "k", "iterations": "iters", "learning_rate": "lr", "out_dir": "out",
+}
+
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--codec", choices=[c.name.lower() for c in Codec])
-    parser.add_argument("--k", dest="depth", type=int, help="pipeline depth K")
-    parser.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    parser.add_argument("--transport", choices=["inproc", "tcp"])
-    parser.add_argument("--roster", help="host:port per line, one per rank")
-    parser.add_argument("--rank", type=int, help="this process's rank (tcp)")
-    parser.add_argument("--inject-alpha-ms", dest="inject_alpha_ms", type=float)
-    parser.add_argument("--inject-mbps", dest="inject_mbps", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--iters", dest="iterations", type=int)
-    parser.add_argument("--lr", dest="learning_rate", type=float)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--eval-interval", dest="eval_interval", type=int)
-    parser.add_argument("--dataset", choices=[DATASET_SYNTHETIC, DATASET_MNIST])
-    parser.add_argument("--mnist-images", dest="mnist_images")
-    parser.add_argument("--mnist-labels", dest="mnist_labels")
-    parser.add_argument("--model", choices=[LOGISTIC, MLP])
-    parser.add_argument("--hidden", help="comma-separated hidden layer sizes")
-    parser.add_argument("--clock", choices=[CLOCK_MONOTONIC, CLOCK_LOGICAL])
-    parser.add_argument("--out", dest="out_dir", help="output directory")
+    for f in fields(ExperimentConfig):
+        flag = _FLAG_NAMES.get(f.name, f.name.replace("_", "-"))
+        parser.add_argument(f"--{flag}", dest=f.name, help=f"config key {f.name}")
 
 
 def _gather_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict[str, str] = {}
-    if args.config:
-        values.update(load_config_file(args.config))
+    values = load_config_file(args.config) if args.config else {}
     for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
+        value = getattr(args, f.name)
         if value is not None:
-            values[f.name] = str(value)
+            values[f.name] = value
     return config_from_mapping(values)
 
 
@@ -214,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("transport failure", err, EXIT_TRANSPORT)
     except GradPipeError as err:
         return _fail("error", err, EXIT_CONFIG)
-    except (FileNotFoundError, UnicodeDecodeError) as err:
+    except (OSError, UnicodeDecodeError) as err:
         return _fail("config error", err, EXIT_CONFIG)
 
 

@@ -17,10 +17,11 @@ are); trace and summary always carry real times. Evaluation happens on
 parameter snapshots after training finishes, so it never perturbs the
 measured training time.
 
-A config file is ``key = value`` lines whose keys are the field names of
-:class:`ExperimentConfig`; each value is parsed by the type of that
-field's default (a codec name, a comma-separated list of ints, or an int,
-float or string).
+Each field of :class:`ExperimentConfig` is one run key: a key of the
+``key = value`` config file and a flag of the CLI's ``run`` and
+``calibrate``. Both hand :func:`config_from_mapping` strings, which
+parses each by the type of its field's default (a codec name, a
+comma-separated list of ints, or an int, float or string).
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from .engine import (
 )
 from .errors import CodecError, ConfigError
 from .models import (
+    LOGISTIC,
+    MLP,
     ModelSpec,
     evaluate_accuracy,
     full_dataset_loss,
@@ -90,24 +93,17 @@ TRACE_HEADER = "rank,iteration,stage,start_ns,end_ns,consumed_tag"
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one experiment run.
+class ExperimentConfig(RunConfig):
+    """Full description of one experiment run: the engine's RunConfig
+    fields, then the cluster, data and output fields.
 
-    Each field is also a config-file key. Invalid values raise
+    Each field is a config-file key and a CLI flag. Invalid values raise
     ConfigError at construction: the RunConfig fields are checked by
     RunConfig, the rest here.
     """
 
-    mode: str = MODE_D_SYNC
-    workers: int = 4
     iterations: int = 2000
-    learning_rate: float = 0.05
-    codec: Codec = Codec.NONE
-    depth: int = 2
-    batch_size: int = 32
-    warmup_epochs: int = 0
-    eval_interval: int = 0
-    seed: int = 0
+    workers: int = 4
     dataset: str = DATASET_SYNTHETIC
     synth_dim: int = 64
     synth_classes: int = 2
@@ -126,7 +122,7 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def __post_init__(self) -> None:
-        self.run_config()
+        super().__post_init__()
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.dataset not in (DATASET_SYNTHETIC, DATASET_MNIST):
@@ -135,6 +131,8 @@ class ExperimentConfig:
             self.mnist_images and self.mnist_labels
         ):
             raise ConfigError("mnist dataset needs mnist_images and mnist_labels paths")
+        if self.model not in ("", LOGISTIC, MLP):
+            raise ConfigError(f"unknown model {self.model!r}")
         if self.transport not in ("inproc", "tcp"):
             raise ConfigError(f"unknown transport {self.transport!r}")
         if self.transport == "tcp" and not self.roster:
@@ -208,14 +206,10 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
 
 
 def build_model(config: ExperimentConfig, dataset: Dataset) -> ModelSpec:
-    kind = config.model
-    if not kind:
-        kind = "logistic" if config.dataset == DATASET_SYNTHETIC else "mlp"
-    if kind == "logistic":
+    kind = config.model or (LOGISTIC if config.dataset == DATASET_SYNTHETIC else MLP)
+    if kind == LOGISTIC:
         return logistic_model(dataset.dim, dataset.num_classes)
-    if kind == "mlp":
-        return mlp_model(dataset.dim, config.hidden, dataset.num_classes)
-    raise ConfigError(f"unknown model {kind!r}")
+    return mlp_model(dataset.dim, config.hidden, dataset.num_classes)
 
 
 @dataclass
@@ -404,7 +398,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     final_params = rank0.params
     final_loss = full_dataset_loss(final_params, model, dataset)
     final_accuracy = evaluate_accuracy(final_params, model, dataset)
-    wall_seconds = max(r.train_seconds for r in results if not r.is_server)
+    # A ps_sync server's own TCP process has only the server's result.
+    timed = [r for r in results if not r.is_server] or results
+    wall_seconds = max(r.train_seconds for r in timed)
     breakdown = breakdown_from_trace(
         rank0.trace, config, rank0.train_seconds, final_accuracy
     )

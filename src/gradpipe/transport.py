@@ -255,8 +255,12 @@ class TcpEndpoint(Endpoint):
         rank = self.rank
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(roster[rank])
-        self._listener.listen(self.world_size)
+        host, port = roster[rank]
+        try:
+            self._listener.bind((host, port))
+            self._listener.listen(self.world_size)
+        except OSError as err:
+            raise TransportError(f"rank {rank}: cannot listen on {host}:{port}: {err}") from err
         self._listener.settimeout(DEFAULT_CONNECT_TIMEOUT_S)
 
         deadline = time.monotonic() + DEFAULT_CONNECT_TIMEOUT_S

@@ -1,6 +1,8 @@
+import argparse
 import functools
 import math
 import re
+import socket
 import statistics
 import time
 from dataclasses import fields
@@ -10,10 +12,10 @@ import pytest
 
 from gradpipe import harness
 from gradpipe.charts import padded_bounds
-from gradpipe.cli import main
+from gradpipe.cli import build_parser, main
 from gradpipe.collective import ring_allreduce
 from gradpipe.compression import Codec
-from gradpipe.engine import RunConfig, run_inproc_cluster
+from gradpipe.engine import RunConfig, run_inproc_cluster, run_rank_threads
 from gradpipe.errors import ConfigError
 from gradpipe.harness import (
     BREAKDOWN_HEADER,
@@ -34,7 +36,7 @@ from gradpipe.harness import (
     run_experiment,
 )
 from gradpipe.timing import ClusterParams, StageTimes, ring_comm_time
-from helpers import run_ranks
+from helpers import free_ports, run_ranks
 
 
 def tiny_config(**overrides):
@@ -190,6 +192,28 @@ class TestRunExperiment:
     def test_preflight_batch_check(self):
         with pytest.raises(ConfigError, match="shard"):
             run_experiment(tiny_config(batch_size=399))
+
+    def test_ps_sync_server_process_writes_its_files(self, tmp_path):
+        # One run_experiment per TCP rank, as one process per rank runs
+        # it; rank 2 is the server, whose only result is the server's.
+        roster = tmp_path / "roster.txt"
+        roster.write_text("".join(f"127.0.0.1:{port}\n" for port in free_ports(3)))
+
+        def rank_run(rank):
+            return run_experiment(tiny_config(
+                mode="ps_sync", transport="tcp", roster=str(roster), rank=rank,
+                out_dir=str(tmp_path / f"rank{rank}"),
+            ))
+
+        results = run_rank_threads(3, rank_run)
+        server = results[2]
+        assert server.workers[0].is_server
+        assert server.wall_seconds == server.workers[0].train_seconds
+        for name in ("metrics.csv", "breakdown.csv", "trace.csv", "summary.txt"):
+            assert (server.out_dir / name).exists()
+        for worker in results[:2]:
+            assert np.array_equal(worker.workers[0].params, server.workers[0].params)
+            assert worker.final_loss == server.final_loss
 
     def test_breakdown_accounts_for_thread_busy_time(self):
         result = run_experiment(tiny_config(iterations=30))
@@ -528,6 +552,73 @@ class TestCli:
             ]
         )
         assert code == 3
+
+    def test_taken_roster_port_exit_code(self, tmp_path, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            roster = tmp_path / "roster.txt"
+            roster.write_text(f"127.0.0.1:{port}\n127.0.0.1:{free_ports(1)[0]}\n")
+            code = main(
+                [
+                    "run", "--transport", "tcp", "--roster", str(roster),
+                    "--workers", "2", "--rank", "0", "--iters", "2",
+                    "--batch-size", "8",
+                ]
+            )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"transport failure: rank 0: cannot listen on 127.0.0.1:{port}: "
+        )
+
+    @pytest.mark.parametrize("argv", [["run", "--config"], ["predict", "--params"]])
+    def test_directory_as_input_file_exit_code(self, tmp_path, capsys, argv):
+        assert main([*argv, str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+
+    @staticmethod
+    def subcommand_actions(name):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices[name]._actions
+
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_every_run_key_has_one_flag(self, command):
+        actions = self.subcommand_actions(command)
+        for f in fields(ExperimentConfig):
+            assert sum(a.dest == f.name for a in actions) == 1, f.name
+        spelled = {o for a in actions for o in a.option_strings}
+        assert spelled >= {
+            "--config", "--mode", "--workers", "--codec", "--k", "--warmup-epochs",
+            "--transport", "--roster", "--rank", "--inject-alpha-ms", "--inject-mbps",
+            "--seed", "--iters", "--lr", "--batch-size", "--eval-interval",
+            "--dataset", "--mnist-images", "--mnist-labels", "--model", "--hidden",
+            "--clock", "--out",
+        }
+
+    def test_synth_dim_flag_reaches_config(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "run", "--workers", "1", "--iters", "2", "--batch-size", "4",
+                "--synth-dim", "5", "--synth-samples", "50", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert "model = logistic 5-2" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "flag,raw,message",
+        [("--iters", "x", "config key iterations: bad value"),
+         ("--codec", "zip", "config key codec: bad value"),
+         ("--mode", "who_knows", "unknown mode"),
+         ("--model", "cnn", "unknown model"),
+         ("--clock", "sundial", "unknown clock")],
+    )
+    def test_bad_flag_value_is_config_error(self, capsys, flag, raw, message):
+        assert main(["run", flag, raw]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
 
     def test_calibrate_predict_compare_pipeline(self, tmp_path, capsys):
         cal = tmp_path / "cal.cfg"

@@ -9,7 +9,8 @@ times), ``chart`` (SVGs from existing CSVs).
 key, that is per field of ``ExperimentConfig``: ``--<field-with-dashes>``,
 except ``--k`` (depth), ``--iters``, ``--lr`` and ``--out`` (out_dir). A
 flag overrides the file's value, and both are parsed by the same
-``config_from_mapping``, so a bad flag value is a config error.
+``config_from_mapping``, so a bad flag value is a config error, as it is
+for the numeric flags that ``predict`` and ``compare`` convert themselves.
 
 Exit codes: 0 success, 2 configuration error (including an unreadable
 input file), 3 transport failure, 4 prediction disagreement above
@@ -34,7 +35,6 @@ from .harness import (
     load_config_file,
     parse_breakdown_csv,
     parse_calibration,
-    parse_kv_text,
     parse_metrics_csv,
     prediction_table,
     run_experiment,
@@ -80,9 +80,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flag(args: argparse.Namespace, name: str, kind: type):
+    """The value of --name as `kind`; a bad value is a config error."""
+    raw = getattr(args, name)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"flag --{name}: bad value {raw!r}") from None
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
-    stages, cluster = parse_calibration(parse_kv_text(Path(args.params).read_text()))
-    text, csv_text = prediction_table(args.iters, args.k, stages, cluster)
+    iters, depth = _flag(args, "iters", int), _flag(args, "k", int)
+    stages, cluster = parse_calibration(load_config_file(args.params))
+    text, csv_text = prediction_table(iters, depth, stages, cluster)
     print(text, end="")
     if args.csv:
         Path(args.csv).write_text(csv_text)
@@ -102,11 +112,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    stages, cluster = parse_calibration(parse_kv_text(Path(args.params).read_text()))
+    threshold = _flag(args, "threshold", float)
+    stages, cluster = parse_calibration(load_config_file(args.params))
     measured = []
     for path in args.measured:
         measured.extend(parse_breakdown_csv(Path(path).read_text()))
-    rows = compare_prediction(measured, stages, cluster, args.threshold)
+    rows = compare_prediction(measured, stages, cluster, threshold)
     print(compare_table(rows), end="")
     return EXIT_THRESHOLD if any(r.flagged for r in rows) else EXIT_OK
 
@@ -153,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pred_p = sub.add_parser("predict", help="analytic runtime totals")
     pred_p.add_argument("--params", required=True, help="calibration/params file")
-    pred_p.add_argument("--iters", type=int, default=1000)
-    pred_p.add_argument("--k", type=int, default=2)
+    pred_p.add_argument("--iters", default=1000)
+    pred_p.add_argument("--k", default=2)
     pred_p.add_argument("--csv", help="also write totals as CSV")
     pred_p.set_defaults(fn=_cmd_predict)
 
@@ -168,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument(
         "--measured", nargs="+", required=True, help="breakdown.csv files"
     )
-    cmp_p.add_argument("--threshold", type=float, default=0.25)
+    cmp_p.add_argument("--threshold", default=0.25)
     cmp_p.set_defaults(fn=_cmd_compare)
 
     chart_p = sub.add_parser("chart", help="render SVGs from CSV outputs")

@@ -19,21 +19,17 @@ Broadcast always sends raw float32, so replicas stay bit-identical.
 Every collective receives through one path, `_recv`: it waits for the
 next message from one peer, checks its type, iteration and block, and
 turns any failure into a CollectiveError that names the receiving rank,
-the iteration and the step. `_recv_block` adds the decode, and the
-length check where the receiver knows the length, for the collectives
-that receive vectors; a block that does not decode fails the same way.
+the iteration and the step. `_recv_block` adds the length check and
+the decode for the collectives that receive vectors; a block of the
+wrong length, or one that does not decode, fails the same way.
 
-A hop copies as little as it can: a block is encoded straight into the
-buffer that goes on the wire, received payloads are memoryviews of the
-receive buffer, and under codec none a decoded block is a view of that
-buffer too. Such views are only ever added into, or copied into, an
-array the collective owns: the ring sums and gathers in place, in the
-one vector it returns, and its allgather decodes every block straight
-into that vector. A collective returns `out` when given one, else a new
-array that owns its writeable memory; either way the result shares no
-memory with any wire buffer, so a caller may modify it freely. With
-`out=local` the ring sums into the caller's own vector and allocates no
-accumulator.
+Every collective works in the vector its caller passes, a writeable,
+contiguous, 1-D float32 vector, and returns that vector: the ring sums
+into it, the gather's root sums into it, a broadcast receiver decodes
+into it. No collective allocates its result, so a result never shares
+memory with a wire buffer; a block is encoded straight into the buffer
+that goes on the wire, and a received block is only added into, or
+decoded into, the caller's vector.
 """
 
 from __future__ import annotations
@@ -94,19 +90,19 @@ def _recv_block(
     src: int,
     iteration: int,
     block_index: int,
-    n_elems: int | None,
+    n_elems: int,
     step: str,
     out: np.ndarray | None = None,
 ) -> tuple[Buffer, np.ndarray]:
     """The wire bytes and decoded values of the next block from src.
 
-    The block must hold n_elems values, or any number when n_elems is
-    None. With `out` the values are decoded straight into it.
+    The block must hold n_elems values. With `out` the values are
+    decoded straight into it.
     """
     wire = _recv(endpoint, src, MSG_DATA, iteration, block_index, step).payload
     try:
         block = deserialize_block(wire)
-        if n_elems is not None and block.n_elems != n_elems:
+        if block.n_elems != n_elems:
             raise _error(
                 endpoint, iteration, step,
                 f"block {block_index} from rank {src} has {block.n_elems} elems, "
@@ -127,8 +123,14 @@ def _check_rank_args(
             f"endpoint is rank {endpoint.rank}/{endpoint.world_size}, "
             f"caller claims {rank}/{p}"
         )
-    if vector is not None and vector.ndim != 1:
-        raise CollectiveError("collectives operate on 1-D vectors")
+    if vector is not None and not (
+        vector.ndim == 1 and vector.dtype == np.float32
+        and vector.flags.c_contiguous and vector.flags.writeable
+    ):
+        raise CollectiveError(
+            f"collectives work in a writeable contiguous 1-D float32 vector, got {vector.dtype} "
+            f"{vector.shape} {vector.flags.c_contiguous=} {vector.flags.writeable=}"
+        )
 
 
 def ring_allreduce(
@@ -138,32 +140,14 @@ def ring_allreduce(
     endpoint: Endpoint,
     codec: Codec = Codec.NONE,
     iteration: int = 0,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Elementwise sum of all ranks' vectors, identical on every rank.
-
-    The sum is built in `out` and `out` is returned, when given: a
-    writeable, contiguous float32 vector of local's length, which may be
-    `local` itself. Otherwise it is built in a new array.
-    """
+    """Sums all ranks' vectors into `local`, bit-identical on every rank,
+    and returns `local`."""
     _check_rank_args(rank, p, endpoint, local)
-    if out is None:
-        acc = np.array(local, dtype=np.float32, copy=True)
-    elif out.dtype != np.float32 or out.shape != local.shape or not (
-        out.flags.c_contiguous and out.flags.writeable
-    ):
-        raise CollectiveError(
-            f"out must be a writeable contiguous float32 vector of {local.size} elems, "
-            f"got {out.dtype} {out.shape} {out.flags.c_contiguous=} {out.flags.writeable=}"
-        )
-    else:
-        acc = out
-        if acc is not local:
-            acc[:] = local
     if p == 1:
-        return acc
+        return local
     succ, pred = (rank + 1) % p, (rank - 1) % p
-    views = [acc[off : off + length] for off, length in partition_blocks(acc.size, p)]
+    views = [local[off : off + length] for off, length in partition_blocks(local.size, p)]
 
     def recv_block(
         idx: int, step: str, into: np.ndarray | None = None
@@ -180,7 +164,7 @@ def ring_allreduce(
         views[recv_idx] += incoming
 
     # Allgather: the owner encodes its fully reduced block once; everyone
-    # forwards that encoding verbatim and decodes the same bytes into acc.
+    # forwards that encoding verbatim and decodes the same bytes into local.
     own_idx = (rank + 1) % p
     wire = serialize_block(compress(views[own_idx], codec))
     decompress(deserialize_block(wire), out=views[own_idx])
@@ -188,7 +172,7 @@ def ring_allreduce(
         send_idx, recv_idx = (rank + 1 - step) % p, (rank - step) % p
         endpoint.send(succ, wire, MSG_DATA, iteration, send_idx)
         wire, _ = recv_block(recv_idx, f"allgather step {step}", views[recv_idx])
-    return acc
+    return local
 
 
 def gather_to_root(
@@ -200,45 +184,42 @@ def gather_to_root(
     codec: Codec = Codec.NONE,
     iteration: int = 0,
 ) -> np.ndarray | None:
-    """Root returns the elementwise sum of all inputs; others return None.
+    """The root sums the others' vectors into its own `local`, in rank
+    order, and returns it; the others send theirs and return None.
 
     Each non-root vector travels encoded under `codec`; the root's own
-    vector never leaves it and is summed as is.
+    vector never leaves it.
     """
     _check_rank_args(rank, p, endpoint, local)
-    if p == 1:
-        return np.array(local, dtype=np.float32, copy=True)
     if rank != root:
         endpoint.send(root, serialize_block(compress(local, codec)), MSG_DATA, iteration, 0)
         return None
-    acc = np.array(local, dtype=np.float32, copy=True)
     for src in range(p):  # fixed rank order keeps the sum deterministic
         if src != root:
-            acc += _recv_block(endpoint, src, iteration, 0, acc.size, f"gather from rank {src}")[1]
-    return acc
+            step = f"gather from rank {src}"
+            local += _recv_block(endpoint, src, iteration, 0, local.size, step)[1]
+    return local
 
 
 def broadcast_from_root(
-    value: np.ndarray | None,
+    vector: np.ndarray,
     root: int,
     rank: int,
     p: int,
     endpoint: Endpoint,
     iteration: int = 0,
 ) -> np.ndarray:
-    """Bit-exact copy of the root's vector on every rank."""
-    _check_rank_args(rank, p, endpoint)
+    """The root's vector, bit-exact, in every rank's `vector`, which is
+    returned; the others' vectors must have the root's length."""
+    _check_rank_args(rank, p, endpoint, vector)
     if rank != root:
         step = f"broadcast from root {root}"
-        return _recv_block(endpoint, root, iteration, 0, None, step)[1].copy()
-    if value is None:
-        raise _error(endpoint, iteration, "broadcast", "root has no value")
-    value = np.ascontiguousarray(value, dtype=np.float32)
-    wire = serialize_block(compress(value, Codec.NONE))
+        return _recv_block(endpoint, root, iteration, 0, vector.size, step, vector)[1]
+    wire = serialize_block(compress(vector, Codec.NONE))
     for dst in range(p):
         if dst != root:
             endpoint.send(dst, wire, MSG_DATA, iteration, 0)
-    return value.copy()
+    return vector
 
 
 def barrier(rank: int, p: int, endpoint: Endpoint, generation: int = 0) -> None:

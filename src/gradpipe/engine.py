@@ -283,18 +283,18 @@ class _Worker:
         return loss, grad
 
     def _allreduce(self, t: int, grad: np.ndarray) -> np.ndarray:
-        """Iteration t's gradient summed over the workers; consumes grad.
-
-        The ring sums into grad, which no one else reads. In ps_sync the
-        server gathers the sum and broadcasts it back (_ps_server_loop).
-        """
+        """Iteration t's gradient summed over the workers, in grad itself,
+        which no one else reads: the ring sums into it, and in ps_sync the
+        server's sum is broadcast into it (_ps_server_loop)."""
         cfg, server = self.config, self.world - 1
         if cfg.mode != MODE_PS_SYNC:
             return ring_allreduce(
-                grad, self.rank, self.world, self.endpoint, cfg.codec, iteration=t, out=grad
+                grad, self.rank, self.world, self.endpoint, cfg.codec, iteration=t
             )
         gather_to_root(grad, server, self.rank, self.world, self.endpoint, cfg.codec, iteration=t)
-        return broadcast_from_root(None, server, self.rank, self.world, self.endpoint, iteration=t)
+        # compress encodes grad into a new frame, so grad is free once the
+        # gather returns and can receive the sum.
+        return broadcast_from_root(grad, server, self.rank, self.world, self.endpoint, iteration=t)
 
     # -- the training loop (every worker of every mode) ---------------------
 
@@ -384,11 +384,13 @@ class _Worker:
         """Gather each iteration's sum, broadcast it, then apply it: the
         workers apply the same float32 sgd_update to the same bits."""
         cfg, server = self.config, self.world - 1
-        zeros = np.zeros(self.model.num_params, dtype=np.float32)
         for t in range(1, cfg.iterations + 1):
             a0 = self._now()
+            # A fresh zero vector, not a worker's: 0.0 + -0.0 is +0.0, so
+            # starting the sum from a worker's vector would change its bits.
             total = gather_to_root(
-                zeros, server, self.rank, self.world, self.endpoint, cfg.codec, iteration=t
+                np.zeros(self.model.num_params, np.float32),
+                server, self.rank, self.world, self.endpoint, cfg.codec, iteration=t,
             )
             broadcast_from_root(total, server, self.rank, self.world, self.endpoint, iteration=t)
             a1 = self._now()

@@ -475,8 +475,9 @@ def calibrate(
     are rank 0's median forward, backward and update trace events, so
     they carry the contention of p busy rank threads.
 
-    Network: ring_allreduce itself, timed `reps` times on rank 0 of p
-    rank threads over the configured codec and injected delays, for a
+    Network: ring_allreduce itself, summing in place as training does,
+    timed `reps` times on rank 0 of p rank threads, each with its own
+    vector, over the configured codec and injected delays, for a
     vector of about `probe_bytes` on the wire and one of the model's
     size (plus a p-element vector when those coincide). A least-squares
     line time = a + b * wire_bytes, clamped at 0, gives
@@ -514,12 +515,14 @@ def calibrate(
 
         def ring_times(rank: int) -> list[float]:
             endpoint = transport.endpoint(rank)
+            own = np.empty_like(vector)  # the ring sums into it
             medians = []
             for size in sizes:
                 samples = []
                 for _ in range(reps):
+                    own[:size] = vector[:size]
                     t0 = time.perf_counter()
-                    ring_allreduce(vector[:size], rank, p, endpoint, codec)
+                    ring_allreduce(own[:size], rank, p, endpoint, codec)
                     samples.append(time.perf_counter() - t0)
                 medians.append(statistics.median(samples))
             return medians
@@ -558,7 +561,6 @@ def calibration_text(stages: StageTimes, cluster: ClusterParams) -> str:
         f"l_for = {stages.forward:.9g}",
         f"l_back = {stages.backward:.9g}",
         f"l_b = {stages.first_segment_backward:.9g}",
-        f"l_comm = {stages.comm:.9g}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -588,7 +590,7 @@ def parse_calibration(values: dict[str, str]) -> tuple[StageTimes, ClusterParams
         forward=number("l_for", 0.0),
         backward=backward,
         first_segment_backward=number("l_b", backward),
-        comm=number("l_comm", 0.0) or ring_comm_time(cluster),
+        comm=ring_comm_time(cluster),
     )
     return stages, cluster
 

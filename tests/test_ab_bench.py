@@ -53,3 +53,49 @@ class TestSummarize:
     def test_unpaired_runs_rejected(self):
         with pytest.raises(ValueError):
             ab_bench.summarize(PARENT, PARENT[:-1], "lower")
+
+
+# Quartiles 102.25 and 106.75 around a median of 104.5: IQR/median 0.043.
+TIGHT = [100.0 + i for i in range(10)]
+
+
+class TestNoRegression:
+    def test_worse_beyond_bound(self):
+        s = ab_bench.summarize(TIGHT, [v * 1.3 for v in TIGHT], "lower", 0.25)
+        assert s["regression"] == "worse"
+
+    def test_worse_within_bound_is_ok(self):
+        s = ab_bench.summarize(TIGHT, [v * 1.2 for v in TIGHT], "lower", 0.25)
+        assert s["regression"] == "ok"
+
+    def test_worse_is_judged_by_direction(self):
+        s = ab_bench.summarize(TIGHT, [v * 0.7 for v in TIGHT], "higher", 0.25)
+        assert s["regression"] == "worse"
+        assert ab_bench.summarize(TIGHT, [v * 0.7 for v in TIGHT], "lower", 0.25)[
+            "regression"
+        ] == "ok"
+
+    def test_parent_spread_wider_than_bound_is_unresolved(self):
+        # PARENT: IQR 4.5 against a median of 14.5, 0.31 of it.
+        s = ab_bench.summarize(PARENT, PARENT, "lower", 0.25)
+        assert s["regression"] == "unresolved"
+        assert ab_bench.summarize(PARENT, PARENT, "lower", 0.35)["regression"] == "ok"
+
+    def test_every_change_run_better_resolves_a_wide_spread(self):
+        s = ab_bench.summarize(PARENT, [v - 10 for v in PARENT], "lower", 0.25)
+        assert s["regression"] == "ok"
+        s = ab_bench.summarize(PARENT, [v - 9 for v in PARENT], "lower", 0.25)
+        assert s["regression"] == "unresolved"  # change 10.0 ties parent 10.0
+
+    def test_no_bound_no_verdict(self):
+        assert ab_bench.summarize(TIGHT, TIGHT, "lower")["regression"] is None
+        assert ab_bench.summarize(TIGHT, TIGHT, None, 0.25)["regression"] is None
+
+    def test_bounds_come_from_end_to_end_metrics(self, tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "a", "better": "higher", "bound": 0.1}],'
+            ' "per_layer": [{"name": "b", "better": "lower"}]}'
+        )
+        better, bounds = ab_bench.benchmark_rules(tmp_path)
+        assert better == {"a": "higher", "b": "lower"}
+        assert bounds == {"a": 0.1}

@@ -68,12 +68,11 @@ class TestRingAllReduce:
             assert_sum_close(out, want)
 
     def test_zeros_survive_quant8(self):
-        zero = np.zeros(64, np.float32)
         outs = run_ranks(
-            4, lambda r, ep: ring_allreduce(zero, r, 4, ep, Codec.QUANT8)
+            4, lambda r, ep: ring_allreduce(np.zeros(64, np.float32), r, 4, ep, Codec.QUANT8)
         )
         for out in outs:
-            assert np.array_equal(out, zero)
+            assert np.array_equal(out, np.zeros(64, np.float32))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("n", [1, 7, 1024, 4099])
@@ -97,10 +96,10 @@ class TestRingAllReduce:
         p, n = 4, 512
         inputs = random_inputs(p, n, seed=11)
         want = np.sum(np.stack(inputs).astype(np.float64), axis=0)
+        envelope = p * max(np.abs(v).max() for v in inputs) / 64.0
         outs = run_ranks(
             p, lambda r, ep: ring_allreduce(inputs[r], r, p, ep, Codec.QUANT8)
         )
-        envelope = p * max(np.abs(v).max() for v in inputs) / 64.0
         assert np.abs(outs[0].astype(np.float64) - want).max() <= envelope
 
     def test_message_and_byte_accounting(self):
@@ -132,7 +131,8 @@ class TestRingAllReduce:
         transport = InProcTransport(1)
         vec = np.array([5.0, -1.0], np.float32)
         out = ring_allreduce(vec, 0, 1, transport.endpoint(0), Codec.QUANT8)
-        assert np.array_equal(out, vec)
+        assert out is vec
+        assert np.array_equal(out, np.array([5.0, -1.0], np.float32))
 
 
 class TestStarCollectives:
@@ -146,7 +146,8 @@ class TestStarCollectives:
         transport = InProcTransport(1)
         vec = np.array([2.0], np.float32)
         out = gather_to_root(vec, 0, 0, 1, transport.endpoint(0))
-        assert np.array_equal(out, vec)
+        assert out is vec
+        assert np.array_equal(out, np.array([2.0], np.float32))
 
     def test_gather_matches_direct_sum(self):
         inputs = random_inputs(4, 257, seed=5)
@@ -158,16 +159,16 @@ class TestStarCollectives:
     def test_gather_wire_accounting(self, codec):
         p, n, root = 4, 257, 2
         inputs = random_inputs(p, n, seed=5)
+        want = inputs[root].copy()  # the root's own vector never goes on the wire
+        for src in range(p):
+            if src != root:
+                want += decompress(compress(inputs[src], codec))
 
         def op(rank, ep):
             out = gather_to_root(inputs[rank], root, rank, p, ep, codec)
             return out, ep.stats.snapshot()
 
         outs = run_ranks(p, op)
-        want = inputs[root].copy()  # the root's own vector never goes on the wire
-        for src in range(p):
-            if src != root:
-                want += decompress(compress(inputs[src], codec))
         assert np.array_equal(outs[root][0], want)
         for rank, (_, stats) in enumerate(outs):
             sent = 0 if rank == root else 1
@@ -177,8 +178,7 @@ class TestStarCollectives:
     def test_broadcast_small(self):
         value = np.array([1.5, -2.5], np.float32)
         outs = run_ranks(
-            2,
-            lambda r, ep: broadcast_from_root(value if r == 0 else None, 0, r, 2, ep),
+            2, lambda r, ep: broadcast_from_root(_vector_on(r, 0, value), 0, r, 2, ep)
         )
         for out in outs:
             assert np.array_equal(out, value)
@@ -187,8 +187,7 @@ class TestStarCollectives:
         value = np.random.default_rng(6).normal(0, 1, 1_000_000).astype(np.float32)
         digest = value.tobytes()
         outs = run_ranks(
-            8,
-            lambda r, ep: broadcast_from_root(value if r == 0 else None, 0, r, 8, ep),
+            8, lambda r, ep: broadcast_from_root(_vector_on(r, 0, value), 0, r, 8, ep)
         )
         for out in outs:
             assert out.tobytes() == digest
@@ -196,11 +195,16 @@ class TestStarCollectives:
     def test_broadcast_nonzero_root(self):
         value = np.arange(5, dtype=np.float32)
         outs = run_ranks(
-            4,
-            lambda r, ep: broadcast_from_root(value if r == 3 else None, 3, r, 4, ep),
+            4, lambda r, ep: broadcast_from_root(_vector_on(r, 3, value), 3, r, 4, ep)
         )
         for out in outs:
             assert np.array_equal(out, value)
+
+
+def _vector_on(rank, root, value):
+    """What a rank passes to a broadcast of `value`: the root its value,
+    every other rank a vector of the same length to receive it in."""
+    return value if rank == root else np.full(value.size, np.nan, np.float32)
 
 
 class TestBarrier:
@@ -280,7 +284,7 @@ class TestTcpTransport:
 
         def op(rank, ep):
             barrier(rank, 3, ep)
-            out = broadcast_from_root(value if rank == 1 else None, 1, rank, 3, ep)
+            out = broadcast_from_root(_vector_on(rank, 1, value), 1, rank, 3, ep)
             barrier(rank, 3, ep, generation=1)
             return out
 
@@ -292,8 +296,7 @@ class TestTcpTransport:
         # and the rest of the frame must still follow it.
         value = np.random.default_rng(13).normal(0, 1, 2_000_000).astype(np.float32)
         outs = run_tcp_ranks(
-            2,
-            lambda r, ep: broadcast_from_root(value if r == 0 else None, 0, r, 2, ep),
+            2, lambda r, ep: broadcast_from_root(_vector_on(r, 0, value), 0, r, 2, ep)
         )
         for out in outs:
             assert out.tobytes() == value.tobytes()
@@ -399,34 +402,41 @@ class TestOwnedResults:
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     @pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.name.lower())
     def test_results_own_writeable_memory(self, codec, transport):
+        """Each collective returns the vector its caller passed, which
+        shares memory with no wire buffer."""
         p, n = 3, 301
         inputs = random_inputs(p, n, seed=12)
 
         def op(rank, ep):
             wires = _record_wire(ep)
-            own = inputs[rank].copy()
-            outs = [
-                ring_allreduce(inputs[rank], rank, p, ep, codec),
-                ring_allreduce(own, rank, p, ep, codec, iteration=1, out=own),
-                gather_to_root(inputs[rank], 0, rank, p, ep, codec),
-                broadcast_from_root(inputs[0] if rank == 0 else None, 0, rank, p, ep),
+            given = [
+                inputs[rank].copy(),
+                inputs[rank].copy(),
+                _vector_on(rank, 0, inputs[0].copy()),
             ]
-            return [out for out in outs if out is not None], wires
+            outs = [
+                ring_allreduce(given[0], rank, p, ep, codec),
+                gather_to_root(given[1], 0, rank, p, ep, codec),
+                broadcast_from_root(given[2], 0, rank, p, ep),
+            ]
+            return list(zip(given, outs)), wires
 
         run = run_ranks if transport == "inproc" else run_tcp_ranks
         results = run(p, op)
         everything = [np.frombuffer(w, np.uint8) for _, wires in results for w in wires]
-        everything += inputs
-        for outs, _ in results:
-            for out in outs:
-                assert out.flags.writeable
+        for rank, (pairs, _) in enumerate(results):
+            for i, (given, out) in enumerate(pairs):
+                if i == 1 and rank != 0:  # a gather's non-root returns nothing
+                    assert out is None
+                    continue
+                assert out is given
                 for other in everything:
                     assert not np.shares_memory(out, other)
 
 
 class TestRingOut:
-    """`out=local` sums into the caller's vector: the same bits as the
-    copying call, in the vector it was given."""
+    """The ring sums into the caller's vector and returns it: the same
+    bits on every rank, and the same as a call on the caller's copy."""
 
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     @pytest.mark.parametrize("p", [2, 3, 4])
@@ -435,54 +445,74 @@ class TestRingOut:
         inputs = random_inputs(p, 1001, seed=20 + p)
 
         def op(rank, ep):
-            copied = ring_allreduce(inputs[rank], rank, p, ep, codec, iteration=1)
-            local = inputs[rank].copy()
-            summed = ring_allreduce(local, rank, p, ep, codec, iteration=2, out=local)
+            copied = ring_allreduce(inputs[rank].copy(), rank, p, ep, codec, iteration=1)
+            local = inputs[rank]
+            summed = ring_allreduce(local, rank, p, ep, codec, iteration=2)
             return copied, local, summed
 
         run = run_ranks if transport == "inproc" else run_tcp_ranks
-        for copied, local, summed in run(p, op):
+        results = run(p, op)
+        for copied, local, summed in results:
             assert summed is local
             assert np.array_equal(summed.view(np.uint32), copied.view(np.uint32))
+            assert np.array_equal(summed.view(np.uint32), results[0][2].view(np.uint32))
 
-    # Each is wrong for an 8-element float32 vector in one way only.
-    BAD_OUTS = {
-        "length": lambda: np.zeros(7, np.float32),
-        "dtype": lambda: np.zeros(8, np.float64),
-        "strided": lambda: np.zeros(16, np.float32)[::2],
-        "read-only": lambda: np.frombuffer(bytes(32), np.float32),
-    }
 
-    @pytest.mark.parametrize("flaw", BAD_OUTS)
-    def test_bad_out_rejected(self, flaw):
-        endpoint = InProcTransport(1).endpoint(0)
-        with pytest.raises(CollectiveError, match="^out must be a writeable contiguous float32"):
-            ring_allreduce(np.ones(8, np.float32), 0, 1, endpoint, out=self.BAD_OUTS[flaw]())
+# Each is wrong for an 8-element float32 vector in one way only.
+_BAD_VECTORS = {
+    "dtype": lambda: np.zeros(8, np.float64),
+    "strided": lambda: np.zeros(16, np.float32)[::2],
+    "read-only": lambda: np.frombuffer(bytes(32), np.float32),
+}
+# Every site that writes into the caller's vector, as (rank, p, call).
+_WRITERS = {
+    "ring": (0, 1, lambda ep, v: ring_allreduce(v, 0, 1, ep)),
+    "gather-root": (0, 1, lambda ep, v: gather_to_root(v, 0, 0, 1, ep)),
+    "broadcast-receiver": (1, 2, lambda ep, v: broadcast_from_root(v, 0, 1, 2, ep)),
+}
+
+
+class TestBadVector:
+    @pytest.mark.parametrize("flaw", _BAD_VECTORS)
+    @pytest.mark.parametrize("site", _WRITERS)
+    def test_rejected(self, site, flaw):
+        rank, p, call = _WRITERS[site]
+        endpoint = InProcTransport(p).endpoint(rank)
+        with pytest.raises(
+            CollectiveError, match="^collectives work in a writeable contiguous 1-D float32"
+        ):
+            call(endpoint, _BAD_VECTORS[flaw]())
 
 
 # Receive sites at p=2 with an 8-element vector, keyed by site. Each
 # entry: the rank that detects the fault, the rank whose messages are
-# faked, the detecting rank's call, the messages that reach the site
-# intact and then the one it expects, each as (msg_type, block_index,
-# n_elems or None for an empty payload), and the step the error names.
+# faked, the detecting rank's call (on a vector of its own), the
+# messages that reach the site intact and then the one it expects, each
+# as (msg_type, block_index, n_elems or None for an empty payload), and
+# the step the error names.
 _ITER = 5
-_ONES = np.ones(8, np.float32)
+
+
+def _ones():
+    return np.ones(8, np.float32)
+
+
 _SITES = {
     "reduce-scatter": (
-        0, 1, lambda ep: ring_allreduce(_ONES, 0, 2, ep, iteration=_ITER),
+        0, 1, lambda ep: ring_allreduce(_ones(), 0, 2, ep, iteration=_ITER),
         [], (MSG_DATA, 1, 4), "reduce-scatter step 0",
     ),
     "allgather": (
-        0, 1, lambda ep: ring_allreduce(_ONES, 0, 2, ep, iteration=_ITER),
+        0, 1, lambda ep: ring_allreduce(_ones(), 0, 2, ep, iteration=_ITER),
         [(MSG_DATA, 1, 4)], (MSG_DATA, 0, 4), "allgather step 0",
     ),
     "gather": (
-        0, 1, lambda ep: gather_to_root(_ONES, 0, 0, 2, ep, iteration=_ITER),
+        0, 1, lambda ep: gather_to_root(_ones(), 0, 0, 2, ep, iteration=_ITER),
         [], (MSG_DATA, 0, 8), "gather from rank 1",
     ),
     "broadcast": (
-        1, 0, lambda ep: broadcast_from_root(None, 0, 1, 2, ep, iteration=_ITER),
-        [], (MSG_DATA, 0, None), "broadcast from root 0",
+        1, 0, lambda ep: broadcast_from_root(_ones(), 0, 1, 2, ep, iteration=_ITER),
+        [], (MSG_DATA, 0, 8), "broadcast from root 0",
     ),
     "barrier": (
         0, 1, lambda ep: barrier(0, 2, ep, generation=_ITER),
@@ -496,15 +526,13 @@ _CAUSES = {
     "length": (lambda t, b, n: (t, b, n - 1, _ITER), "elems, expected"),
     "corrupt": (lambda t, b, n: (t, b, b"\x00\x01\x02", _ITER), "shorter than header"),
 }
-# Only a receiver that knows the vector's length can check it, which a
-# broadcast receiver does not; only a data message is decoded, which a
-# barrier message is not.
+# Only a data message has a length and is decoded; a barrier message
+# is neither.
 _FAULTS = [
     (site, cause)
     for site, entry in _SITES.items()
     for cause in _CAUSES
-    if (cause != "length" or entry[4][2] is not None)
-    and (cause != "corrupt" or entry[4][0] == MSG_DATA)
+    if entry[4][0] == MSG_DATA or cause in ("silent", "iteration")
 ]
 
 

@@ -265,8 +265,9 @@ class TestCalibrate:
         def timed(rank, endpoint):
             samples = []
             for _ in range(15):
+                own = vector.copy()  # the ring sums into it
                 t0 = time.perf_counter()
-                ring_allreduce(vector, rank, 2, endpoint, codec)
+                ring_allreduce(own, rank, 2, endpoint, codec)
                 samples.append(time.perf_counter() - t0)
             return statistics.median(samples)
 
@@ -287,7 +288,23 @@ class TestCalibrate:
         stages2, cluster2 = parse_calibration(parse_kv_text(text))
         assert cluster2 == cluster
         assert stages2.update == pytest.approx(stages.update)
-        assert stages2.comm == pytest.approx(stages.comm)
+        assert stages2.comm == ring_comm_time(cluster)
+
+    def test_predict_pipe_limited_equals_pipe_sequential(self, tmp_path):
+        """Both bounds take the one ring time the file's network gives,
+        whatever comm the stages that wrote the file carried."""
+        stages = StageTimes(
+            update=1e-4, forward=2e-3, backward=4e-3,
+            first_segment_backward=4e-3, comm=5e-4,
+        )
+        cluster = ClusterParams(
+            workers=4, latency_s=1e-3, byte_time_s=1e-8, model_bytes=5e6,
+        )
+        params, csv = tmp_path / "cal.cfg", tmp_path / "predict.csv"
+        params.write_text(calibration_text(stages, cluster))
+        assert main(["predict", "--params", str(params), "--csv", str(csv)]) == 0
+        totals = dict(line.split(",") for line in csv.read_text().splitlines()[1:])
+        assert float(totals["pipe_limited"]) == float(totals["pipe_sequential"])
 
 
     def test_bad_calibration_value_names_key(self):
@@ -613,12 +630,28 @@ class TestCli:
          ("--codec", "zip", "config key codec: bad value"),
          ("--mode", "who_knows", "unknown mode"),
          ("--model", "cnn", "unknown model"),
-         ("--clock", "sundial", "unknown clock")],
+         ("--clock", "sundial", "unknown clock"),
+         # "<command> <flag>": a flag of another command than run.
+         pytest.param("predict --iters", "y", "flag --iters: bad value 'y'", id="predict-iters"),
+         pytest.param("predict --k", "two", "flag --k: bad value 'two'", id="predict-k"),
+         pytest.param(
+             "compare --threshold", "z", "flag --threshold: bad value 'z'",
+             id="compare-threshold",
+         )],
     )
-    def test_bad_flag_value_is_config_error(self, capsys, flag, raw, message):
-        assert main(["run", flag, raw]) == 2
+    def test_bad_flag_value_is_config_error(self, capsys, tmp_path, flag, raw, message):
+        *command, name = flag.split()
+        params = tmp_path / "cal.cfg"
+        params.write_text("workers = 2\nalpha_s = 0\nbyte_time_s = 0\nl_back = 0\n")
+        prefix = {
+            (): ["run"],
+            ("predict",): ["predict", "--params", str(params)],
+            ("compare",): ["compare", "--params", str(params), "--measured", str(params)],
+        }[tuple(command)]
+        assert main([*prefix, name, raw]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and message in err
+        assert len(err.splitlines()) == 1
 
     def test_calibrate_predict_compare_pipeline(self, tmp_path, capsys):
         cal = tmp_path / "cal.cfg"

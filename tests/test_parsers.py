@@ -69,7 +69,7 @@ CONFIG_KEYS = [
 ]
 CALIBRATION_KEYS = [
     "workers", "alpha_s", "byte_time_s", "reduce_time_s", "sync_time_s",
-    "model_bytes", "segments", "l_up", "l_for", "l_back", "l_b", "l_comm",
+    "model_bytes", "segments", "l_up", "l_for", "l_back", "l_b",
 ]
 
 

@@ -11,8 +11,13 @@ every metric the script prints each side's median and quartiles, how
 many pairs the change won (ties count for neither side), and whether the
 change passes the rule for claiming a gain: it wins at least 9 in 10 of
 the pairs, and its median is better than the parent's by more than the
-distance between the parent's quartiles. Which way is better comes from
-the change's BENCHMARK.json. Standard library only.
+distance between the parent's quartiles. For every end-to-end metric it
+also applies the no-regression rule with the metric's bound b: `worse`
+when the change's median is worse than the parent's by more than
+b * |parent median|, else `unresolved` when the parent's quartile
+distance exceeds b * |parent median| and not every change run reads
+better than every parent run, else `ok`. Which way is better, and each
+bound, come from the change's BENCHMARK.json. Standard library only.
 """
 
 from __future__ import annotations
@@ -33,11 +38,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str | None) -> dict:
+def summarize(
+    parent: list[float], change: list[float], better: str | None, bound: float | None = None
+) -> dict:
     """One metric over paired runs: parent[i] and change[i] form pair i.
 
     `better` is "higher", "lower" or None (direction unknown: no wins and
-    no verdict).
+    no verdict). `bound` is an end-to-end metric's no-regression bound,
+    None for a metric that has none (no regression verdict).
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, non-zero number of runs on each side")
@@ -52,6 +60,7 @@ def summarize(parent: list[float], change: list[float], better: str | None) -> d
         "better": better,
         "wins": None,
         "passes": None,
+        "regression": None,
     }
     if better in ("higher", "lower"):
         sign = 1 if better == "higher" else -1
@@ -59,13 +68,28 @@ def summarize(parent: list[float], change: list[float], better: str | None) -> d
         gain = sign * (c_med - p_med)
         out["wins"] = wins
         out["passes"] = wins * 10 >= 9 * len(parent) and gain > p_q3 - p_q1
+        if bound is not None:
+            allowed = bound * abs(p_med)
+            if -gain > allowed:
+                out["regression"] = "worse"
+            elif p_q3 - p_q1 > allowed and not (
+                min(sign * c for c in change) > max(sign * p for p in parent)
+            ):
+                out["regression"] = "unresolved"
+            else:
+                out["regression"] = "ok"
     return out
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    """Metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
+def benchmark_rules(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """From the checkout's BENCHMARK.json: metric name -> "higher" or
+    "lower", and end-to-end metric name -> its no-regression bound."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+    better = {
+        m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])
+    }
+    bounds = {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
+    return better, bounds
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int, trace: int) -> dict:
@@ -112,18 +136,19 @@ def main(argv: list[str] | None = None) -> int:
                   f"correct={result['correct']} failed={result['failed']}", flush=True)
         order_log.append(list(order))
 
-    better = directions(sides["change"])
+    better, bounds = benchmark_rules(sides["change"])
     names = sorted(
         set.intersection(*(set(r["metrics"]) for side in runs.values() for r in side))
     )
     summary = {}
     print(f"{'metric':<40} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'wins':>6} {'change':>8} pass")
+          f"{'wins':>6} {'change':>8} pass regression")
     for name in names:
         s = summarize(
             [r["metrics"][name]["value"] for r in runs["parent"]],
             [r["metrics"][name]["value"] for r in runs["change"]],
             better.get(name),
+            bounds.get(name),
         )
         summary[name] = s
         p, c = s["parent"], s["change"]
@@ -132,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         verdict = {True: "yes", False: "no", None: "-"}[s["passes"]]
         print(f"{name:<40} {p['median']:>10.5g} [{p['q1']:.5g}, {p['q3']:.5g}]"
               f"{'':>2} {c['median']:>10.5g} [{c['q1']:.5g}, {c['q3']:.5g}]"
-              f"{'':>2} {wins:>6} {rel:>8} {verdict}")
+              f"{'':>2} {wins:>6} {rel:>8} {verdict:<4} {s['regression'] or '-'}")
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     correct = all(r["correct"] for rs in runs.values() for r in rs)
     print(f"# correct on every run: {correct}; failed runs: {failed}")
